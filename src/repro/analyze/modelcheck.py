@@ -586,7 +586,8 @@ class BrokenHomeLrcProc(HomeLrcProc):
 
     def close_interval(self) -> None:
         if not self._flush_skipped and any(
-            self.home(u) != self.pid for u in self.twins
+            self.home(u) != self.pid
+            for u in self.twinned.nonzero()[0].tolist()
         ):
             self._flush_skipped = True
             # Grandparent close: diffs recorded in the store, no flush.

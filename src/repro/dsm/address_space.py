@@ -167,7 +167,9 @@ class AddressSpace:
 
     def scatter(self, starts: np.ndarray, values: np.ndarray) -> None:
         """Overwrite ``len(starts)`` equal-length word ranges from a
-        (nranges, nwords) array.  With duplicate or overlapping ranges
-        the later row wins, matching a sequential loop of range writes."""
+        (nranges, nwords) array.  The ranges must be pairwise disjoint:
+        NumPy leaves the winner among repeated indices of one advanced
+        assignment unspecified (``LrcProc.write_scatter`` sends
+        overlapping ranges to its sequential loop instead)."""
         idx = starts[:, None] + np.arange(values.shape[1], dtype=np.int64)[None, :]
         self.words[idx] = values

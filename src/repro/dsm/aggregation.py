@@ -19,7 +19,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
 import numpy as np
 
@@ -35,38 +35,22 @@ class Aggregator:
         fetching as the strategy dictates."""
         raise NotImplementedError
 
-    def ready(self, units) -> bool:
-        """True when :meth:`ensure_valid` over every unit in ``units`` is
-        a guaranteed no-op (no fault, no monitoring fault, no state
-        change) -- the bulk fast path's precondition.  ``units`` is an
-        iterable of unit indices; a conservative ``False`` is always
-        safe (the caller falls back to the word-loop reference path)."""
-        raise NotImplementedError
-
-    def dirty_units(self) -> Optional[np.ndarray]:
+    def dirty_units(self) -> np.ndarray:
         """Bool array over units, True exactly where :meth:`ensure_valid`
         may do work right now.  Units flagged False must stay no-ops for
         the rest of the current gather/scatter (faults only shrink the
-        pending set and only validate pages, never the reverse), which
-        lets the bulk middle tier skip their per-range calls wholesale.
-        ``None`` means the strategy cannot provide the mask and the
-        caller must invoke :meth:`ensure_valid` per range."""
-        return None
+        pending set and only validate pages, never the reverse): the
+        batched access path runs :meth:`ensure_valid` only at the first
+        range over each flagged unit."""
+        raise NotImplementedError
 
     def on_sync(self) -> None:
         """Called at every synchronization operation (after the interval
         closes, before the processor parks)."""
 
-    def on_invalidate(self, unit: int) -> None:
-        """Called when a write notice invalidates ``unit``."""
-
-    def on_invalidate_many(self, units: np.ndarray) -> None:
-        """Batch form of :meth:`on_invalidate` over one interval's units
-        (distinct, in write-notice order).  The default loops; strategies
-        whose reaction is a pure mask update override it with one
-        vectorized assignment."""
-        for unit in units.tolist():
-            self.on_invalidate(unit)
+    def on_invalidate(self, units: np.ndarray) -> None:
+        """Called when write notices invalidate ``units`` (distinct, in
+        write-notice order)."""
 
 
 class StaticAggregator(Aggregator):
@@ -90,13 +74,7 @@ class StaticAggregator(Aggregator):
                 # fetches (the paper's "requested in sequence" case).
                 proc.fetch([unit])
 
-    def ready(self, units) -> bool:
-        if not self.proc.pending:
-            return True
-        pending_n = self.proc.pending_n
-        return not any(pending_n[u] for u in units)
-
-    def dirty_units(self) -> Optional[np.ndarray]:
+    def dirty_units(self) -> np.ndarray:
         return self.proc.pending_n > 0
 
 
@@ -146,12 +124,7 @@ class DynamicAggregator(Aggregator):
             if pending_n[page] or not valid[page]:
                 self._fault(page)
 
-    def ready(self, units) -> bool:
-        pending_n = self.proc.pending_n
-        valid = self.access_valid
-        return all(valid[u] and not pending_n[u] for u in units)
-
-    def dirty_units(self) -> Optional[np.ndarray]:
+    def dirty_units(self) -> np.ndarray:
         return ~self.access_valid | (self.proc.pending_n > 0)
 
     def _fault(self, page: int) -> None:
@@ -242,12 +215,9 @@ class DynamicAggregator(Aggregator):
         elif not group:
             del self._groups[gid]
 
-    def on_invalidate(self, unit: int) -> None:
+    def on_invalidate(self, units: np.ndarray) -> None:
         """An invalidated page must fault again on its next access, which
         re-observes the access pattern."""
-        self.access_valid[unit] = False
-
-    def on_invalidate_many(self, units: np.ndarray) -> None:
         self.access_valid[units] = False
 
     @property

@@ -45,10 +45,6 @@ class Interval:
     """The written units as an int64 array in ``diffs`` insertion order,
     precomputed at close time so notice application can index per-unit
     metadata arrays in one vectorized step per interval."""
-    units_list: List[int] = field(default_factory=list)
-    """``units_arr`` as plain Python ints (same order); the per-notice
-    bookkeeping that still builds :class:`WriteNotice` objects iterates
-    this without paying numpy scalar extraction."""
 
     @property
     def units(self) -> Iterable[int]:
@@ -105,17 +101,15 @@ class IntervalStore:
                 f"proc {proc} closing interval {vc[proc]}, expected {expected}"
             )
         self._commit_counter += 1
-        units_list = list(diffs.keys())
         interval = Interval(
             proc=proc,
             index=expected,
             vc=vc.copy(),
             commit_seq=self._commit_counter,
             diffs=dict(diffs),
-            units_arr=np.asarray(units_list, dtype=np.int64)
-            if units_list
+            units_arr=np.asarray(list(diffs), dtype=np.int64)
+            if diffs
             else _EMPTY_UNITS,
-            units_list=units_list,
         )
         self._by_proc[proc][expected] = interval
         self._closed_count[proc] = expected

@@ -29,20 +29,21 @@ an aggregation strategy from :mod:`repro.dsm.aggregation`.
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
 from repro.dsm.address_space import AddressSpace, SharedHeapLayout
-from repro.dsm.diff import (
-    DIFF_HEADER_BYTES,
-    RUN_HEADER_BYTES,
-    WORD,
-    Diff,
-    apply_diff,
-    create_diff,
-    merge_diffs,
-)
+from repro.dsm.diff import Diff, _wire_bytes, apply_diff, create_diff, merge_diffs
 from repro.dsm.intervals import IntervalStore, WriteNotice
 from repro.dsm.vc import VectorClock
 from repro.sim.clock import Clock
@@ -53,6 +54,7 @@ from repro.stats.words import WordTracker
 
 if TYPE_CHECKING:
     from repro.dsm.aggregation import Aggregator
+    from repro.trace.recorder import TraceRecorder
 
 #: Fixed bytes of a diff request message plus per-requested-diff entry.
 REQUEST_BASE_BYTES = 8
@@ -71,7 +73,7 @@ class LrcProc:
         network: Network,
         stats: ProtocolStats,
         clock: Clock,
-        credit,
+        credit: Callable[[int, int], None],
     ) -> None:
         self.pid = pid
         self.layout = layout
@@ -87,19 +89,21 @@ class LrcProc:
         self.vc = VectorClock(config.nprocs)
         self.pending: Dict[int, List[WriteNotice]] = {}
         self.pending_n = np.zeros(layout.nunits, dtype=np.int32)
-        """Per-unit mirror of ``len(self.pending[unit])``.  The dict of
-        :class:`WriteNotice` lists stays the source of truth (fetch and
-        the barrier GC walk it), but every hot-path *emptiness* question
-        -- aggregator readiness, dirty masks, invalidation counting --
-        reads this preallocated array instead of hashing unit ids.
-        Every site that mutates ``pending`` updates the mirror in the
-        same statement block; ``tests/properties`` pins the invariant."""
-        self.twins: Dict[int, np.ndarray] = {}
+        """``len(self.pending[unit])`` per unit.  The notice lists are
+        what a fetch consumes; every *emptiness* question (aggregator
+        dirty masks, invalidation counting) reads this array instead.
+        Both are mutated only by :meth:`_add_notices` and
+        :meth:`_clear_notices`, so they cannot drift apart
+        (``tests/apps/test_vectorized_equiv.py`` pins the invariant)."""
         self.twinned = np.zeros(layout.nunits, dtype=bool)
-        """Per-unit mirror of ``unit in self.twins``: the batched diff
-        kernel and the scatter fast path test twin presence as one
-        vectorized mask instead of per-unit dict lookups."""
-        self._twin_pool: Optional[np.ndarray] = None
+        """Units twinned in the open interval.  The twin of such a unit
+        is row ``_twin_slot[unit]`` of ``_twin_pool`` (see
+        :meth:`twin`); the pool is reused across intervals and grown
+        geometrically, so twinning allocates nothing per unit and the
+        row diff kernel gathers all twins with one fancy index."""
+        self._twin_pool: np.ndarray = np.empty(
+            (0, layout.words_per_unit), dtype=np.uint32
+        )
         self._twin_slot = np.full(layout.nunits, -1, dtype=np.int32)
         self._twin_count = 0
         self._twin_persist = np.zeros(layout.nunits, dtype=bool)
@@ -112,11 +116,13 @@ class LrcProc:
         self.unsent_notices = 0
         """Write notices created since this processor's last barrier
         arrival (models the arrival-message payload)."""
-        self.aggregator: Optional["Aggregator"] = None  # wired by the runtime
-        self.trace = None
-        """Optional :class:`repro.trace.recorder.TraceRecorder` attached
-        by the runtime.  All hooks below are observer-only: they never
-        advance the clock or touch protocol state."""
+        self.aggregator: Aggregator
+        """Wired by the runtime once the processor exists (the strategy
+        holds a back reference)."""
+        self.trace: Optional[TraceRecorder] = None
+        """Attached by the runtime when tracing.  All hooks below are
+        observer-only: they never advance the clock or touch protocol
+        state."""
         # Hot-path locals: the access path runs once per shared access,
         # so the per-access cost constants are cached off the config.
         self._region_op_us = config.region_op_us
@@ -143,17 +149,16 @@ class LrcProc:
         return self.space.read_words(word0, nwords)
 
     def write_words(self, word0: int, values: np.ndarray) -> None:
-        """Shared write of a word range: fault if needed, twin the
-        covered units on first write, install the values."""
+        """Shared write of a word range: fault if needed, make the
+        covered units writable (:meth:`_prepare_write`), install the
+        values."""
         nwords = int(values.shape[0])
         if word0 < 0 or nwords <= 0 or word0 + nwords > self._heap_words:
             self._check_range(word0, nwords)
         self.aggregator.ensure_valid(word0, nwords)
-        twins = self.twins
         wpu = self._wpu
         for unit in range(word0 // wpu, (word0 + nwords - 1) // wpu + 1):
-            if unit not in twins:
-                self._make_twin(unit)
+            self._prepare_write(unit)
         if self.trace is not None:
             self.trace.on_access(self.pid, self.clock.now, "write", word0, nwords)
         self.tracker.on_write(word0, nwords)
@@ -170,61 +175,80 @@ class LrcProc:
                 f"of {self.layout.nwords} words"
             )
 
+    # The two protocol hooks of the write path.  A unit is *writable*
+    # once its first write of the interval has been prepared; what that
+    # preparation is belongs to the protocol (a twin for the
+    # multiple-writer protocols, exclusive ownership for swi).
+    def _prepare_write(self, unit: int) -> None:
+        """Make ``unit`` writable here; a no-op when it already is."""
+        if not self.twinned[unit]:
+            self._make_twin(unit)
+
+    def _unwritable_units(self) -> np.ndarray:
+        """Bool per unit: True exactly where :meth:`_prepare_write`
+        would do work right now."""
+        return ~self.twinned
+
     # ------------------------------------------------------------------
     # Bulk access path (gather / scatter)
     # ------------------------------------------------------------------
-    # ``read_gather`` / ``write_scatter`` are *semantically defined* as a
-    # loop of :meth:`read_words` / :meth:`write_words` over equal-length
-    # word ranges, in order (the reference path, forced by
-    # ``config.access_mode == "scalar"``).  When the bulk fast path can
-    # prove the loop would neither fault nor change aggregation state
-    # (:meth:`Aggregator.ready` over the touched units, plus the
-    # protocol's own :meth:`_bulk_write_ready`), it charges the clock
-    # with the *identical sequence of float additions* folded in one
-    # step, performs twin bookkeeping in the same first-touch order, and
-    # moves all data with one vectorized gather/scatter.  Any
-    # uncertainty -- a pending unit, an access-invalid page, a non-owned
-    # unit under single-writer invalidate, an out-of-bounds range --
-    # falls back to the reference loop, which faults (or raises) exactly
-    # where a scalar program would.  ``tests/equivalence/`` asserts the
-    # two paths are bit-identical in every counter, checksum, and trace
-    # event across all applications and protocols.
+    # ``read_gather`` / ``write_scatter`` are *defined* as a loop of
+    # :meth:`read_words` / :meth:`write_words` over equal-length word
+    # ranges, in order: the reference loops below, which also serve
+    # ``config.access_mode == "scalar"``, tracing (trace events carry
+    # per-range timestamps sampled mid-loop) and every shape the batched
+    # path declines.  The one production path, :meth:`_batched`, does
+    # the loop's bookkeeping in three steps and leaves the data to one
+    # vectorized gather/scatter.
+    #
+    # Identity argument.  Per range the loop runs ``ensure_valid``, (for
+    # writes) ``_prepare_write`` over the range's units, the tracker's
+    # usefulness resolution, and one clock charge.  Call a unit *dirty*
+    # when ``ensure_valid`` or ``_prepare_write`` may do work on it
+    # (``Aggregator.dirty_units()``, OR-ed for writes with
+    # :meth:`_unwritable_units`).  Within one gather/scatter no other
+    # processor runs, so
+    #
+    # * a clean unit stays clean: faults only shrink the pending set,
+    #   pages only become access-valid, twins and ownership only
+    #   accumulate;
+    # * a dirty unit stays dirty until the first range over it runs (a
+    #   dynamic-aggregation group fetch drains other members' pending
+    #   diffs but leaves them access-invalid, hence still dirty), and is
+    #   clean afterwards.
+    #
+    # The loop therefore does work exactly at the first-touch ranges of
+    # the initially dirty units; everywhere else it only charges the
+    # clock.  (1) The batched path runs the loop's own step at those
+    # positions and folds the runs of pure charges between them with
+    # :meth:`_fold_end` -- the identical sequence of float additions.
+    # (2) Usefulness is resolved once at the end: ranges are pairwise
+    # disjoint (checked), and a range's words cannot change tracker
+    # state after its own ``ensure_valid`` -- later faults install diffs
+    # only into units that were still pending, i.e. not yet touched --
+    # so each word's owner tag is final when its turn has passed, each
+    # word is credited at most once and credit totals are additive.
+    # (3) The data moves once, at the end: a fault installs data only
+    # into units no earlier range has touched, so it neither changes a
+    # word already read nor overwrites a row already written, and a unit
+    # is twinned at its first touch, before any of the scatter's rows
+    # has modified it, so deferring the rows leaves every twin equal.
+    #
+    # ``tests/equivalence/`` asserts the two paths bit-identical in every
+    # counter, checksum and trace event across all applications and
+    # protocols; ``tests/apps/test_vectorized_equiv.py`` does the same on
+    # random raw gather/scatter programs.
 
     def read_gather(self, starts: np.ndarray, nwords: int) -> np.ndarray:
         """Bulk read of ``len(starts)`` word ranges of ``nwords`` words
         each; returns an (nranges, nwords) uint32 array.  Equivalent to
         calling :meth:`read_words` once per range, in order."""
         starts = np.ascontiguousarray(starts, dtype=np.int64)
-        n = int(starts.shape[0])
-        if n == 0:
+        if starts.shape[0] == 0:
             return np.empty((0, max(nwords, 0)), dtype=np.uint32)
-        if self._bulk_ready_units(starts, nwords, write=False) is None:
-            out = self._read_gather_mid(starts, nwords)
-            if out is not None:
-                return out
-            return self._read_gather_ref(starts, nwords)
-        per = self._region_op_us + nwords * self._word_access_us
-        trace = self.trace
-        if trace is None:
-            if not self.tracker.pending_count():
-                self.clock.advance_to(self._fold_end(n, per))
-                return self.space.gather(starts, nwords)
-            # Pending words among valid units: resolve them in one
-            # batched pass (exact for disjoint ranges -- each word is
-            # credited at most once and totals are additive).
-            idx = self._mid_tier_ranges(starts, nwords)
-            if idx is not None:
-                self.clock.advance_to(self._fold_end(n, per))
-                self.tracker.resolve_read(idx.reshape(-1))
-                return self.space.gather(starts, nwords)
-        tracker, clock = self.tracker, self.clock
-        for i in range(n):
-            w0 = int(starts[i])
-            if trace is not None:
-                trace.on_access(self.pid, clock.now, "read", w0, nwords)
-            tracker.on_read(w0, nwords)
-            clock.advance(per)
-        return self.space.gather(starts, nwords)
+        if self._batched(starts, nwords, write=False):
+            return self.space.gather(starts, nwords)
+        return self._read_gather_ref(starts, nwords)
 
     def write_scatter(self, starts: np.ndarray, values: np.ndarray) -> None:
         """Bulk write of ``len(starts)`` word ranges from a (nranges,
@@ -237,72 +261,12 @@ class LrcProc:
                 f"write_scatter needs (nranges, nwords) values matching "
                 f"{starts.shape[0]} starts, got shape {values.shape}"
             )
-        n, nwords = int(values.shape[0]), int(values.shape[1])
-        if n == 0:
+        if starts.shape[0] == 0:
             return
-        touched = self._bulk_ready_units(starts, nwords, write=True)
-        if touched is None:
-            if not self._write_scatter_mid(starts, values):
-                self._write_scatter_ref(starts, values)
-            return
-        per = self._region_op_us + nwords * self._word_access_us
-        trace = self.trace
-        if trace is None:
-            pend = self.tracker.pending_count()
-            prep = self._bulk_write_prep_needed(touched)
-            if not pend and not prep:
-                self.clock.advance_to(self._fold_end(n, per))
-                self.space.scatter(starts, values)
-                return
-            idx = self._mid_tier_ranges(starts, nwords)
-            if idx is not None:
-                # Batched tier: fold the clock over runs of ranges whose
-                # units are already twinned, run the per-range prep (and
-                # its clock charges) only where a first write occurs,
-                # and clear overwritten pending words in one pass.  The
-                # touched units are ``ready`` here, so twinning is the
-                # only per-range work -- and a range's prep twins its
-                # units, letting every later range over them fold.
-                if not prep:
-                    self.clock.advance_to(self._fold_end(n, per))
-                else:
-                    twins = self.twins
-                    wpu = self._wpu
-                    span = nwords - 1
-                    run = 0
-                    for w0 in starts.tolist():
-                        u0 = w0 // wpu
-                        u1 = (w0 + span) // wpu
-                        if all(
-                            u in twins for u in range(u0, u1 + 1)
-                        ):
-                            run += 1
-                            continue
-                        if run:
-                            self.clock.advance_to(
-                                self._fold_end(run, per)
-                            )
-                            run = 0
-                        self._bulk_write_prep(w0, nwords)
-                        self.clock.advance(per)
-                    if run:
-                        self.clock.advance_to(self._fold_end(run, per))
-                if pend:
-                    self.tracker.resolve_write(idx.reshape(-1))
-                self.space.scatter(starts, values)
-                return
-        tracker, clock = self.tracker, self.clock
-        for i in range(n):
-            w0 = int(starts[i])
-            self._bulk_write_prep(w0, nwords)
-            if trace is not None:
-                trace.on_access(self.pid, clock.now, "write", w0, nwords)
-            tracker.on_write(w0, nwords)
-            clock.advance(per)
-        # Deferring the data movement behind the bookkeeping loop is
-        # exact: a unit is always twinned at its first touch within the
-        # scatter, before any of the scatter's rows have modified it.
-        self.space.scatter(starts, values)
+        if self._batched(starts, int(values.shape[1]), write=True):
+            self.space.scatter(starts, values)
+        else:
+            self._write_scatter_ref(starts, values)
 
     def _read_gather_ref(self, starts: np.ndarray, nwords: int) -> np.ndarray:
         out = np.empty((starts.shape[0], nwords), dtype=np.uint32)
@@ -314,245 +278,69 @@ class LrcProc:
         for i in range(starts.shape[0]):
             self.write_words(int(starts[i]), values[i])
 
-    # The *middle tier* handles gathers/scatters that the pure fast path
-    # must refuse (pending fetches among the touched units): it keeps
-    # the reference loop's exact per-range fault resolution and clock
-    # charges -- ``ensure_valid`` then ``advance`` per range, in order,
-    # the identical float sequence -- but batches the word-usefulness
-    # resolution and the data movement into one vectorized pass at the
-    # end.  That batching is exact because the ranges are pairwise
-    # disjoint (checked) and a range's words cannot change state after
-    # its own ``ensure_valid``: the first touch of a unit drains its
-    # pending diffs, and later faults apply diffs only to *their* units,
-    # so each word's owner tag and value are already final when its
-    # range's turn has passed.  Tracing forces the reference loop (trace
-    # events carry per-range timestamps sampled mid-loop), as does any
-    # protocol that overrides the scalar access method itself.
-
-    def _mid_tier_ranges(
-        self, starts: np.ndarray, nwords: int
-    ) -> Optional[np.ndarray]:
-        """Flat word indices for a middle-tier pass, or None if the
-        gather/scatter does not qualify (bounds, overlap, tracing)."""
-        if self.config.access_mode != "bulk" or nwords <= 0:
-            return None
-        if self.trace is not None:
-            return None
-        if int(starts.min()) < 0:
-            return None
-        if int(starts.max()) + nwords > self.layout.nwords:
-            return None
-        if starts.shape[0] > 1:
-            s = np.sort(starts)
-            if int(np.diff(s).min()) < nwords:
-                return None  # overlapping ranges: replay word by word
-        return starts[:, None] + np.arange(nwords, dtype=np.int64)[None, :]
-
-    def _mid_dirty_arr(
-        self, need_twins: bool
-    ) -> Optional[np.ndarray]:
-        """Bool per unit: True where the per-range bookkeeping (fault
-        resolution, first-write twinning) may still do work.  Clean
-        units are exact no-ops apart from their clock charge -- and
-        *stay* clean for the rest of the pass, because faults only
-        shrink the pending set, pages only become access-valid, and
-        twins only accumulate.  The middle-tier loops exploit the same
-        monotonicity in the other direction: a dirty unit stays dirty
-        until the pass's *own first range over it* runs (a fetch only
-        drains other units' pending as a dynamic-aggregation group
-        member, which leaves them access-invalid, hence still dirty),
-        so the work positions are exactly the first-touch ranges of the
-        initially dirty units.  None when the aggregator cannot provide
-        its dirty-unit mask."""
-        dirty = self.aggregator.dirty_units()
-        if dirty is None:
-            return None
-        if need_twins:
-            dirty = dirty | ~self.twinned
-        return dirty
-
-    @staticmethod
-    def _mid_first_touch(u0s: np.ndarray, dirty: np.ndarray) -> List[int]:
-        """Positions of the first range over each dirty unit, in range
-        order (every range single-unit): exactly where the reference
-        loop's ``ensure_valid`` (and first-write twinning) does work --
-        see :meth:`_mid_dirty_arr` for why later ranges are no-ops."""
-        uniq, first_idx = np.unique(u0s, return_index=True)
-        sel = first_idx[dirty[uniq]]
-        sel.sort()
-        return sel.tolist()
-
-    def _read_gather_mid(
-        self, starts: np.ndarray, nwords: int
-    ) -> Optional[np.ndarray]:
-        if type(self).read_words is not LrcProc.read_words:
-            return None
-        idx = self._mid_tier_ranges(starts, nwords)
-        if idx is None:
-            return None
-        per = self._region_op_us + nwords * self._word_access_us
-        n = int(starts.shape[0])
-        ensure = self.aggregator.ensure_valid
-        advance = self.clock.advance
-        dirty = self._mid_dirty_arr(need_twins=False)
-        if dirty is None:
-            for w0 in starts.tolist():
-                ensure(w0, nwords)
-                advance(per)
-        else:
-            wpu = self._wpu
-            u0s = starts // wpu
-            u1s = (starts + (nwords - 1)) // wpu
-            if np.array_equal(u0s, u1s):
-                # Single-unit ranges: the work positions are known up
-                # front (first touch of each dirty unit); runs of
-                # no-op ranges between them charge their clock in one
-                # fold -- the same sequential float additions.
-                pos = 0
-                for i in self._mid_first_touch(u0s, dirty):
-                    if i > pos:
-                        self.clock.advance_to(self._fold_end(i - pos, per))
-                    ensure(int(starts[i]), nwords)
-                    advance(per)
-                    pos = i + 1
-                if n > pos:
-                    self.clock.advance_to(self._fold_end(n - pos, per))
-            else:
-                # Unit-straddling ranges: walk in order, flipping a
-                # range's units clean after its own ensure so later
-                # ranges over them fold.
-                dl = dirty.tolist()
-                run = 0
-                for i, w0 in enumerate(starts.tolist()):
-                    u0 = int(u0s[i])
-                    u1 = int(u1s[i])
-                    if not (dl[u0] if u1 == u0 else True in dl[u0:u1 + 1]):
-                        run += 1
-                        continue
-                    if run:
-                        self.clock.advance_to(self._fold_end(run, per))
-                        run = 0
-                    ensure(w0, nwords)
-                    for u in range(u0, u1 + 1):
-                        dl[u] = False
-                    advance(per)
-                if run:
-                    self.clock.advance_to(self._fold_end(run, per))
-        self.tracker.resolve_read(idx.reshape(-1))
-        return self.space.words[idx]
-
-    def _write_scatter_mid(
-        self, starts: np.ndarray, values: np.ndarray
-    ) -> bool:
-        if type(self).write_words is not LrcProc.write_words:
+    def _batched(self, starts: np.ndarray, nwords: int, write: bool) -> bool:
+        """All of a gather/scatter except the data movement: faults,
+        write preparation, clock charges and word usefulness, exactly as
+        the reference loop would leave them (see the identity argument
+        above).  Returns False -- having done nothing -- when the
+        reference loop must run instead: scalar mode, tracing, an empty
+        or out-of-bounds range (the loop raises where a scalar program
+        would), ranges spanning more than two units, or overlapping
+        ranges whose order the batched steps could not honour."""
+        if (
+            self.config.access_mode != "bulk"
+            or self.trace is not None
+            or nwords <= 0
+        ):
             return False
-        nwords = int(values.shape[1])
-        idx = self._mid_tier_ranges(starts, nwords)
-        if idx is None:
-            return False
-        per = self._region_op_us + nwords * self._word_access_us
-        n = int(starts.shape[0])
-        ensure = self.aggregator.ensure_valid
-        advance = self.clock.advance
-        twins = self.twins
-        wpu = self._wpu
-        span = nwords - 1
-        dirty = self._mid_dirty_arr(need_twins=True)
-        if dirty is None:
-            for w0 in starts.tolist():
-                ensure(w0, nwords)
-                for unit in range(w0 // wpu, (w0 + span) // wpu + 1):
-                    if unit not in twins:
-                        self._make_twin(unit)
-                advance(per)
-        else:
-            u0s = starts // wpu
-            u1s = (starts + span) // wpu
-            if np.array_equal(u0s, u1s):
-                pos = 0
-                for i in self._mid_first_touch(u0s, dirty):
-                    if i > pos:
-                        self.clock.advance_to(self._fold_end(i - pos, per))
-                    w0 = int(starts[i])
-                    ensure(w0, nwords)
-                    unit = int(u0s[i])
-                    if unit not in twins:
-                        self._make_twin(unit)
-                    advance(per)
-                    pos = i + 1
-                if n > pos:
-                    self.clock.advance_to(self._fold_end(n - pos, per))
-            else:
-                dl = dirty.tolist()
-                run = 0
-                for i, w0 in enumerate(starts.tolist()):
-                    u0 = int(u0s[i])
-                    u1 = int(u1s[i])
-                    if not (dl[u0] if u1 == u0 else True in dl[u0:u1 + 1]):
-                        run += 1
-                        continue
-                    if run:
-                        self.clock.advance_to(self._fold_end(run, per))
-                        run = 0
-                    ensure(w0, nwords)
-                    for unit in range(u0, u1 + 1):
-                        if unit not in twins:
-                            self._make_twin(unit)
-                        dl[unit] = False
-                    advance(per)
-                if run:
-                    self.clock.advance_to(self._fold_end(run, per))
-        self.tracker.resolve_write(idx.reshape(-1))
-        self.space.words[idx] = values
-        return True
-
-    def _bulk_ready_units(
-        self, starts: np.ndarray, nwords: int, write: bool
-    ) -> Optional[List[int]]:
-        """The units a gather/scatter touches, if the fast path may run;
-        None forces the reference loop.  The returned list may be a
-        conservative superset when individual ranges span more than two
-        units (safe: extra units can only veto the fast path)."""
-        if self.config.access_mode != "bulk" or nwords <= 0:
-            return None
-        if int(starts.min()) < 0:
-            return None
         last = starts + (nwords - 1)
-        if int(last.max()) >= self.layout.nwords:
-            return None
-        wpu = self.layout.words_per_unit
-        u0 = starts // wpu
-        u1 = last // wpu
-        if int((u1 - u0).max()) <= 1:
-            touched = np.unique(np.concatenate((u0, u1))).tolist()
-        else:
-            touched = list(range(int(u0.min()), int(u1.max()) + 1))
-        if not self.aggregator.ready(touched):
-            return None
-        if write and not self._bulk_write_ready(touched):
-            return None
-        return touched
-
-    def _bulk_write_ready(self, units: List[int]) -> bool:
-        """Protocol veto for the scatter fast path.  The base multiple-
-        writer protocols (tm-lrc, hlrc, erc) handle first-write twinning
-        inside the bookkeeping loop, so any valid span is ready; the
-        single-writer protocol overrides this to require exclusive
-        ownership (otherwise its per-unit ownership acquisition must run
-        on the reference path)."""
+        if int(starts.min()) < 0 or int(last.max()) >= self._heap_words:
+            return False
+        wpu = self._wpu
+        u0s = starts // wpu
+        u1s = last // wpu
+        if int((u1s - u0s).max()) > 1:
+            return False
+        dirty = self.aggregator.dirty_units()
+        if write:
+            dirty = dirty | self._unwritable_units()
+        work = np.flatnonzero(dirty[u0s] | dirty[u1s])
+        n = int(starts.shape[0])
+        # Overlapping ranges are harmless only to a gather that touches
+        # nothing dirty and resolves no pending word: it charges the
+        # clock and copies.  A scatter's later-row-wins order, a fault's
+        # position and a word's single credit all need disjoint ranges.
+        if n > 1 and (write or work.shape[0] or self.tracker.pending_count()):
+            if int(np.diff(np.sort(starts)).min()) < nwords:
+                return False
+        per = self._region_op_us + nwords * self._word_access_us
+        clock = self.clock
+        pos = 0
+        if work.shape[0]:
+            # First-touch positions of the dirty units: interleave each
+            # candidate range's two units so the first occurrence of a
+            # unit in the flat array belongs to the earliest range.
+            pairs = np.stack((u0s[work], u1s[work]), axis=1).reshape(-1)
+            units, first = np.unique(pairs, return_index=True)
+            ensure_valid = self.aggregator.ensure_valid
+            for i in np.unique(work[first[dirty[units]] // 2]).tolist():
+                if i > pos:
+                    clock.advance_to(self._fold_end(i - pos, per))
+                ensure_valid(int(starts[i]), nwords)
+                if write:
+                    for unit in range(int(u0s[i]), int(u1s[i]) + 1):
+                        self._prepare_write(unit)
+                clock.advance(per)
+                pos = i + 1
+        if n > pos:
+            clock.advance_to(self._fold_end(n - pos, per))
+        if self.tracker.pending_count():
+            idx = (starts[:, None] + np.arange(nwords, dtype=np.int64)).reshape(-1)
+            if write:
+                self.tracker.resolve_write(idx)
+            else:
+                self.tracker.resolve_read(idx)
         return True
-
-    def _bulk_write_prep_needed(self, units: List[int]) -> bool:
-        """Whether :meth:`_bulk_write_prep` would do anything for a
-        scatter over ``units`` (conservative True is safe)."""
-        return not self.twinned[units].all()
-
-    def _bulk_write_prep(self, word0: int, nwords: int) -> None:
-        """Per-range first-write bookkeeping on the scatter fast path --
-        exactly the twin block of :meth:`write_words`."""
-        for unit in self.layout.units_of_range(word0, nwords):
-            if unit not in self.twins:
-                self._make_twin(unit)
 
     def _fold_end(self, n: int, per: float) -> float:
         """The clock value after ``n`` sequential ``advance(per)`` calls,
@@ -568,26 +356,18 @@ class LrcProc:
     # Twinning and interval closing
     # ------------------------------------------------------------------
     def _make_twin(self, unit: int) -> None:
-        # Twins live in rows of a preallocated pool (reused across
-        # intervals, grown geometrically) so an interval's worth of twins
-        # costs no per-unit allocations and the batched diff kernel can
-        # gather them with one fancy index.  ``self.twins[unit]`` is a
-        # *view* of the pool row: protocols that patch a live twin
-        # (hlrc/erc flushes) write through it unchanged.
         pool = self._twin_pool
-        if pool is None or self._twin_count == pool.shape[0]:
-            cap = 64 if pool is None else pool.shape[0] * 2
-            grown = np.empty((cap, self._wpu), dtype=np.uint32)
-            if pool is not None:
-                grown[: pool.shape[0]] = pool
-                slot_of = self._twin_slot
-                for u in self.twins:
-                    self.twins[u] = grown[slot_of[u]]
-            self._twin_pool = pool = grown
         slot = self._twin_count
+        if slot == pool.shape[0]:
+            # Rows are addressed by slot number, never held as views, so
+            # growing the pool invalidates nothing.
+            self._twin_pool = np.empty(
+                (max(64, 2 * slot), self._wpu), dtype=np.uint32
+            )
+            self._twin_pool[:slot] = pool
+            pool = self._twin_pool
         self._twin_count = slot + 1
         pool[slot] = self.space.unit_view(unit)
-        self.twins[unit] = pool[slot]
         self._twin_slot[unit] = slot
         self.twinned[unit] = True
         if self._twin_persist[unit]:
@@ -605,6 +385,13 @@ class LrcProc:
             + self.layout.unit_bytes * self.config.twin_byte_us
         )
 
+    def twin(self, unit: int) -> np.ndarray:
+        """Writable view of the open interval's twin of ``unit`` (which
+        must be :attr:`twinned`).  Valid until the next :meth:`_make_twin`
+        -- protocols that patch a live twin (hlrc/erc) write through it
+        at once."""
+        return self._twin_pool[self._twin_slot[unit]]
+
     def close_interval(self) -> None:
         """End the current interval (called at every synchronization
         operation, on the processor's own thread): record per-unit diffs
@@ -615,7 +402,7 @@ class LrcProc:
         creation is charged lazily at fetch time (see :meth:`fetch`), as
         in TreadMarks, where a release only queues write notices and the
         word-compare scan happens when a diff is first requested."""
-        if not self.twins:
+        if not self._twin_count:
             return
         diffs = self._interval_diffs()
         self.vc.tick(self.pid)
@@ -623,119 +410,52 @@ class LrcProc:
         self.stats.intervals_closed += 1
         self.stats.write_notices_sent += len(diffs)
         self.unsent_notices += len(diffs)
-        self.twins.clear()
         self.twinned[:] = False
         self._twin_count = 0
 
     def _interval_diffs(self) -> Dict[int, Diff]:
-        """Word-compare every twinned unit against current memory in one
-        batched pass; bit-identical to :meth:`_interval_diffs_ref` (the
-        per-unit ``create_diff`` loop, kept as the differential oracle).
+        """Word-compare every twinned unit against current memory;
+        bit-identical to :meth:`_interval_diffs_ref`, the per-unit
+        ``create_diff`` loop, which is also the small-interval branch.
 
-        Identity argument: ``np.flatnonzero(self.twinned)`` is the
-        ascending unit order of ``sorted(self.twins)``; a raveled
-        ``np.flatnonzero`` over the stacked ``(unit, word)`` inequality
-        matrix enumerates changed words by unit then word offset --
-        exactly the reference loop's per-unit ``np.nonzero`` outputs
-        concatenated; and run counting per segment reproduces
-        ``diff._wire_bytes`` because in flat coordinates a run can only
-        continue across a row boundary as ``offset == 0`` (which we
-        break explicitly), so segment boundaries always break a run.
+        The one selection is on size: with few twinned units the
+        per-unit view loop touches no memory beyond the changed words,
+        while the row kernel first copies every twin and current unit
+        into stacked matrices -- batching only pays once numpy's
+        per-call overhead amortizes over many units (DESIGN.md §12 has
+        the committed traffic on both sides of the threshold).
 
-        The kernel is density-adaptive: bulk writers that dirty most of
-        a unit (Jacobi/Shallow interior sweeps) pay mainly for the
-        idx/value copies, and a per-row pass over the inequality matrix
-        stays cache-resident, while the flat kernel's int64 index
-        arrays would double the traffic; sparse intervals (false-shared
-        pages, Barnes/TSP scatter) are where the flat one-pass kernel
-        wins.  Both branches produce identical :class:`Diff` contents.
+        Identity argument for the row kernel: ``np.flatnonzero`` over
+        the twinned bitmap is the reference's ascending unit order, and
+        row ``i`` of the inequality matrix is the reference's
+        ``twin != current`` for unit ``units[i]``, from which both build
+        the same offsets, values and wire size.
         """
-        units = np.flatnonzero(self.twinned)
-        wpu = self._wpu
-        if units.shape[0] <= 64:
-            # Few twinned units: the per-unit view loop touches no
-            # memory beyond the changed words themselves, while the
-            # batched kernel would copy every twin and current unit
-            # into stacked matrices first.  Batching only pays once
-            # the per-call numpy overhead amortizes over many units.
+        if self._twin_count <= 64:
             return self._interval_diffs_ref()
-        cur2d = self.space.words.reshape(-1, wpu)[units]
-        twin2d = self._twin_pool[self._twin_slot[units]]
-        ne = twin2d != cur2d
-        nchanged = int(np.count_nonzero(ne))
-        nunits_twinned = units.shape[0]
+        units = np.flatnonzero(self.twinned)
+        cur2d = self.space.words.reshape(-1, self._wpu)[units]
+        ne = self._twin_pool[self._twin_slot[units]] != cur2d
         diffs: Dict[int, Diff] = {}
-        if nchanged * 4 > nunits_twinned * wpu:
-            # Dense: >25% of twinned words changed.
-            for i, unit in enumerate(units.tolist()):
-                idx = np.flatnonzero(ne[i])
-                n = idx.shape[0]
-                idx32 = idx.astype(np.int32)
-                if n:
-                    runs = 1 + int(np.count_nonzero(np.diff(idx32) != 1))
-                    wire = (
-                        DIFF_HEADER_BYTES + runs * RUN_HEADER_BYTES + n * WORD
-                    )
-                else:
-                    wire = DIFF_HEADER_BYTES
-                diffs[unit] = Diff(
-                    unit=unit,
-                    idx=idx32,
-                    values=cur2d[i, idx],
-                    wire_bytes=wire,
-                    nwords=int(n),
-                )
-            return diffs
-        flat = np.flatnonzero(ne.reshape(-1))
-        vals = cur2d.reshape(-1)[flat]
-        cc = flat % wpu
-        cc32 = cc.astype(np.int32)
-        seg_start = np.searchsorted(
-            flat, np.arange(nunits_twinned) * wpu
-        )
-        nruns_total = 0
-        run_before = seg_start  # placeholder when nchanged == 0
-        if nchanged:
-            new_run = np.empty(nchanged, dtype=bool)
-            new_run[0] = True
-            np.logical_or(
-                np.diff(flat) != 1, cc[1:] == 0, out=new_run[1:]
-            )
-            run_pos = np.flatnonzero(new_run)
-            run_before = np.searchsorted(run_pos, seg_start)
-            nruns_total = run_pos.shape[0]
         for i, unit in enumerate(units.tolist()):
-            s = int(seg_start[i])
-            e = int(seg_start[i + 1]) if i + 1 < nunits_twinned else nchanged
-            n = e - s
-            if n:
-                rb = (
-                    int(run_before[i + 1])
-                    if i + 1 < nunits_twinned
-                    else nruns_total
-                )
-                runs = rb - int(run_before[i])
-                wire = DIFF_HEADER_BYTES + runs * RUN_HEADER_BYTES + n * WORD
-            else:
-                wire = DIFF_HEADER_BYTES
+            idx = np.flatnonzero(ne[i])
+            idx32 = idx.astype(np.int32)
             diffs[unit] = Diff(
                 unit=unit,
-                idx=cc32[s:e],
-                values=vals[s:e],
-                wire_bytes=wire,
-                nwords=n,
+                idx=idx32,
+                values=cur2d[i, idx],
+                wire_bytes=_wire_bytes(idx32),
+                nwords=int(idx.shape[0]),
             )
         return diffs
 
     def _interval_diffs_ref(self) -> Dict[int, Diff]:
         """Reference diff creation: one :func:`create_diff` per twinned
-        unit in ascending order (the pre-vectorization implementation)."""
-        diffs: Dict[int, Diff] = {}
-        for unit in sorted(self.twins):
-            diffs[unit] = create_diff(
-                unit, self.twins[unit], self.space.unit_view(unit)
-            )
-        return diffs
+        unit in ascending order."""
+        return {
+            unit: create_diff(unit, self.twin(unit), self.space.unit_view(unit))
+            for unit in np.flatnonzero(self.twinned).tolist()
+        }
 
     def at_sync_point(self) -> None:
         """Hook run on the processor's own thread immediately before it
@@ -746,29 +466,16 @@ class LrcProc:
     # ------------------------------------------------------------------
     # Invalidation (runs on the scheduler thread while parked)
     # ------------------------------------------------------------------
-    def apply_notices_upto(self, new_vc: VectorClock) -> tuple:
+    def apply_notices_upto(self, new_vc: VectorClock) -> Tuple[float, int, int]:
         """Receive write notices for every interval covered by ``new_vc``
         that this processor has not seen; invalidate their units.
 
         Returns ``(cost_us, payload_bytes, n_notices)`` so the caller can
-        charge the wake-up time and size the carrying message.
-
-        The per-unit side effects are batched per *interval* (the units
-        of one interval are distinct, so testing ``pending_n == 0``
-        against the state before the interval's own appends is exactly
-        the per-notice emptiness check, and clearing persistence /
-        access-validity flags is idempotent); the
-        :class:`~repro.dsm.intervals.WriteNotice` objects themselves are
-        still appended one by one because a later fetch consumes them as
-        ordered lists.  ``tests/properties`` diffs this against the
-        retained :meth:`IntervalStore.notices_between` oracle.
-        """
+        charge the wake-up time and size the carrying message.  Every
+        notice counts towards the payload, including those of units this
+        processor ignores (:meth:`_invalidated_units`)."""
         newly_invalid = 0
         n = 0
-        pending = self.pending
-        pending_n = self.pending_n
-        persist = self._twin_persist
-        invalidate_many = self.aggregator.on_invalidate_many
         store = self.store
         own_vc = self.vc
         for proc in range(self.config.nprocs):
@@ -777,32 +484,69 @@ class LrcProc:
             ):
                 if interval.proc == self.pid:
                     raise AssertionError("received a notice for own interval")
-                ua = interval.units_arr
-                if not ua.shape[0]:
-                    continue
-                n += ua.shape[0]
-                newly_invalid += int((pending_n[ua] == 0).sum())
-                pending_n[ua] += 1
-                persist[ua] = False
-                invalidate_many(ua)
-                iproc, iidx, iseq = (
-                    interval.proc,
-                    interval.index,
-                    interval.commit_seq,
-                )
-                for unit in interval.units_list:
-                    lst = pending.get(unit)
-                    if lst is None:
-                        lst = pending[unit] = []
-                    lst.append(
-                        WriteNotice(
-                            proc=iproc, index=iidx, unit=unit, commit_seq=iseq
-                        )
+                n += interval.units_arr.shape[0]
+                units = self._invalidated_units(interval.units_arr)
+                if units.shape[0]:
+                    newly_invalid += self._add_notices(
+                        units, interval.proc, interval.index, interval.commit_seq
                     )
         self.vc.join(new_vc)
         cost = newly_invalid * self.config.mprotect_us
         self.stats.mprotects += newly_invalid
         return cost, n * self.config.write_notice_bytes, n
+
+    def _invalidated_units(self, units: np.ndarray) -> np.ndarray:
+        """The subset of an interval's written ``units`` whose notices
+        invalidate this processor's copy: all of them, unless the
+        protocol keeps some copies current by other means."""
+        return units
+
+    # ------------------------------------------------------------------
+    # Pending write notices: the only code that mutates ``pending`` and
+    # ``pending_n``
+    # ------------------------------------------------------------------
+    def _add_notices(
+        self, units: np.ndarray, proc: int, index: int, commit_seq: int
+    ) -> int:
+        """Append the write notice of interval ``(proc, index)`` to each
+        of ``units`` (distinct) and invalidate them; returns how many
+        were valid until now.
+
+        The per-unit side effects are batched: the units are distinct,
+        so testing ``pending_n == 0`` before the increments is exactly
+        the per-notice emptiness check, and clearing twin persistence /
+        access validity is idempotent.  The :class:`WriteNotice` objects
+        are still appended one by one because :meth:`fetch` consumes
+        them as ordered per-unit lists."""
+        pending_n = self.pending_n
+        newly_invalid = int((pending_n[units] == 0).sum())
+        pending_n[units] += 1
+        self._twin_persist[units] = False
+        self.aggregator.on_invalidate(units)
+        pending = self.pending
+        for unit in units.tolist():
+            lst = pending.get(unit)
+            if lst is None:
+                lst = pending[unit] = []
+            lst.append(
+                WriteNotice(proc=proc, index=index, unit=unit, commit_seq=commit_seq)
+            )
+        return newly_invalid
+
+    def _clear_notices(self, units: Sequence[int]) -> None:
+        """Drop every pending notice of ``units`` (their data is now
+        current)."""
+        for unit in units:
+            self.pending.pop(unit, None)
+            self.pending_n[unit] = 0
+
+    def pending_notices(self) -> Iterator[WriteNotice]:
+        """Every pending notice, by ascending unit and in arrival order
+        within a unit -- what the barrier GC must keep reachable and
+        what the model checker hashes."""
+        pending = self.pending
+        for unit in sorted(pending):
+            yield from pending[unit]
 
     # ------------------------------------------------------------------
     # Fault service
@@ -849,7 +593,8 @@ class LrcProc:
                 runs.append([nt])
 
         per_writer_runs: Dict[int, List[Diff]] = {w: [] for w in by_writer}
-        to_apply: List[tuple] = []  # (commit order position, writer, diff)
+        # (commit order position, writer, diff)
+        to_apply: List[Tuple[int, int, Diff]] = []
         writer_diff_cost: Dict[int, float] = {w: 0.0 for w in by_writer}
         store_get = self.store.get
         scan_cache = self.store.diff_scan_cache
@@ -879,7 +624,8 @@ class LrcProc:
         # Build the exchanges: normally one per writer carrying all that
         # writer's runs; with combine_requests disabled (ablation), one
         # per (writer, run).
-        exchange_plans: List[tuple] = []  # (writer, [run diffs], n_notices)
+        # (writer, [run diffs], n_notices)
+        exchange_plans: List[Tuple[int, List[Diff], int]] = []
         if config.combine_requests:
             for writer in sorted(by_writer):
                 exchange_plans.append(
@@ -890,7 +636,7 @@ class LrcProc:
                 exchange_plans.append((writer, [d], 1))
 
         stall = 0.0
-        exchange_ids = []
+        exchange_ids: List[int] = []
         reply_of_run: Dict[int, int] = {}  # id(diff) -> reply msg id
         network = self.network
         msg_cost = config.msg_cost_us
@@ -947,7 +693,8 @@ class LrcProc:
             stats.diffs_applied += 1
             stats.diff_words_applied += d.nwords
             if self.trace is not None:
-                pages, page_words = (), ()
+                pages: Tuple[int, ...] = ()
+                page_words: Tuple[int, ...] = ()
                 if d.nwords:
                     pg, cnt = np.unique(
                         (d.idx.astype(np.int64) + w0) // self.layout.words_per_page,
@@ -960,12 +707,27 @@ class LrcProc:
                     pages, page_words,
                 )
 
-        pending_pop = self.pending.pop
-        pending_n = self.pending_n
-        for unit in units:
-            pending_pop(unit, None)
-            pending_n[unit] = 0
+        self._finish_fault(units, len(by_writer), exchange_ids, stall, apply_cost)
 
+    def _finish_fault(
+        self,
+        units: Sequence[int],
+        writers: int,
+        exchange_ids: Sequence[int],
+        stall: float,
+        apply_cost: float,
+        monitoring: bool = False,
+    ) -> None:
+        """The common tail of every fault: revalidate ``units`` (their
+        pending notices are satisfied), charge the trap, the
+        re-protections, the stall and the apply work, and record the
+        fault.  Fault service does not advance the clock before this
+        point, so ``clock.now`` is still the time of the fault."""
+        if not monitoring:
+            self._clear_notices(units)
+        config = self.config
+        stats = self.stats
+        now = self.clock.now
         stats.mprotects += len(units)
         cost = (
             config.fault_trap_us
@@ -978,19 +740,21 @@ class LrcProc:
             trace_eid = self.trace.on_fault(
                 proc=self.pid,
                 ts=now,
-                fault_id=fault_id,
+                fault_id=len(stats.fault_records),
                 units=tuple(units),
-                writers=len(by_writer),
+                writers=writers,
                 exchange_ids=tuple(exchange_ids),
                 stall_us=stall,
                 cost_us=cost,
+                monitoring=monitoring,
             )
-        self.stats.record_fault(
+        stats.record_fault(
             proc=self.pid,
             time_us=now,
             units=tuple(units),
-            writers=len(by_writer),
+            writers=writers,
             exchange_ids=tuple(exchange_ids),
+            monitoring=monitoring,
             trace_eid=trace_eid,
         )
         self.clock.advance(cost)
@@ -999,28 +763,4 @@ class LrcProc:
         """A dynamic-aggregation access-tracking fault: the unit's data is
         already current, so no messages are exchanged; only the trap and
         re-protection costs are paid (the Section-4 monitoring overhead)."""
-        self.stats.mprotects += 1
-        cost = self.config.fault_trap_us + self.config.mprotect_us
-        trace_eid = None
-        if self.trace is not None:
-            trace_eid = self.trace.on_fault(
-                proc=self.pid,
-                ts=self.clock.now,
-                fault_id=len(self.stats.fault_records),
-                units=(unit,),
-                writers=0,
-                exchange_ids=(),
-                stall_us=0.0,
-                cost_us=cost,
-                monitoring=True,
-            )
-        self.stats.record_fault(
-            proc=self.pid,
-            time_us=self.clock.now,
-            units=(unit,),
-            writers=0,
-            exchange_ids=(),
-            monitoring=True,
-            trace_eid=trace_eid,
-        )
-        self.clock.advance(cost)
+        self._finish_fault((unit,), 0, (), 0.0, 0.0, monitoring=True)

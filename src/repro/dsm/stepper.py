@@ -44,6 +44,8 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -239,23 +241,17 @@ class SteppedSystem:
         for p, lp in enumerate(self.procs):
             cur = self.cursors[p]
             pending = tuple(
-                sorted(
-                    (
-                        unit,
-                        tuple(
-                            (nt.proc, nt.index, nt.commit_seq)
-                            for nt in notices
-                        ),
-                    )
-                    for unit, notices in lp.pending.items()
-                    if notices
+                (
+                    unit,
+                    tuple((nt.proc, nt.index, nt.commit_seq) for nt in notices),
+                )
+                for unit, notices in groupby(
+                    lp.pending_notices(), key=attrgetter("unit")
                 )
             )
             twins = tuple(
-                sorted(
-                    (unit, lp.twins[unit].tobytes())
-                    for unit in lp.twins
-                )
+                (unit, lp.twin(unit).tobytes())
+                for unit in np.flatnonzero(lp.twinned).tolist()
             )
             procs_state.append(
                 (

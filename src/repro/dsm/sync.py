@@ -257,10 +257,10 @@ class SyncManager:
             and self._store is not None
             and self._store.count() > self.config.gc_threshold
         ):
-            referenced = set()
-            for lp in self.procs:
-                for notices in lp.pending.values():
-                    for nt in notices:
-                        referenced.add((nt.proc, nt.index))
+            referenced = {
+                (nt.proc, nt.index)
+                for lp in self.procs
+                for nt in lp.pending_notices()
+            }
             self._store.collect(merged, referenced)
         return resumes

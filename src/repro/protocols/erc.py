@@ -56,9 +56,9 @@ class EagerRcProc(LrcProc):
     # Release path: diff eagerly, push updates to every peer
     # ------------------------------------------------------------------
     def close_interval(self) -> None:
-        if not self.twins:
+        if not self._twin_count:
             return
-        units = sorted(self.twins)
+        units = np.flatnonzero(self.twinned).tolist()
         super().close_interval()
         interval = self.store.get(self.pid, self.vc[self.pid])
         now = self.clock.now
@@ -96,9 +96,8 @@ class EagerRcProc(LrcProc):
             cost += self.config.msg_cpu_us  # send-side CPU; no stall
             for d in diffs:
                 apply_diff(d, peer.space.unit_view(d.unit))
-                twin = peer.twins.get(d.unit)
-                if twin is not None:
-                    apply_diff(d, twin)
+                if peer.twinned[d.unit]:
+                    apply_diff(d, peer.twin(d.unit))
                 if d.nwords:
                     w0, _ = self.layout.unit_word_range(d.unit)
                     peer.tracker.mark(d.idx.astype(np.int64) + w0, msg.msg_id)

@@ -28,14 +28,12 @@ property asserted in ``tests/integration/test_protocol_zoo.py``).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Sequence
 
 import numpy as np
 
 from repro.dsm.diff import DIFF_HEADER_BYTES, apply_diff
-from repro.dsm.intervals import WriteNotice
 from repro.dsm.lrc import REQUEST_BASE_BYTES, REQUEST_ENTRY_BYTES, LrcProc
-from repro.dsm.vc import VectorClock
 from repro.protocols.base import CreditFn, ProtocolInfo, register
 from repro.sim.network import MessageClass
 
@@ -62,9 +60,9 @@ class HomeLrcProc(LrcProc):
     # Release path: eager diff + flush to the homes
     # ------------------------------------------------------------------
     def close_interval(self) -> None:
-        if not self.twins:
+        if not self._twin_count:
             return
-        units = sorted(self.twins)
+        units = np.flatnonzero(self.twinned).tolist()
         super().close_interval()
         interval = self.store.get(self.pid, self.vc[self.pid])
         now = self.clock.now
@@ -95,11 +93,10 @@ class HomeLrcProc(LrcProc):
             cost += self.config.msg_cpu_us  # send-side CPU; no stall
             peer = self.peers[home]
             apply_diff(d, peer.space.unit_view(unit))
-            twin = peer.twins.get(unit)
-            if twin is not None:
+            if peer.twinned[unit]:
                 # Patch the home's live twin too, else its next diff
                 # would re-publish our words as its own writes.
-                apply_diff(d, twin)
+                apply_diff(d, peer.twin(unit))
             if d.nwords:
                 w0, _ = self.layout.unit_word_range(unit)
                 peer.tracker.mark(d.idx.astype(np.int64) + w0, msg.msg_id)
@@ -116,57 +113,10 @@ class HomeLrcProc(LrcProc):
     # Acquire path: own-home units never invalidate (flushes keep them
     # current); everything else invalidates as under LRC.
     # ------------------------------------------------------------------
-    def apply_notices_upto(self, new_vc: VectorClock) -> Tuple[float, int, int]:
-        # The base vectorized application with one extra per-interval
-        # mask: units homed here are skipped before any pending/persist/
-        # aggregation side effect (the flushes keep them current), while
-        # ``n`` still counts every notice (the payload carries them all).
-        assert self.aggregator is not None
-        newly_invalid = 0
-        n = 0
-        pending = self.pending
-        pending_n = self.pending_n
-        persist = self._twin_persist
-        invalidate_many = self.aggregator.on_invalidate_many
-        nprocs = self.config.nprocs
-        pid = self.pid
-        store = self.store
-        own_vc = self.vc
-        for proc in range(nprocs):
-            for interval in store.intervals_between(
-                proc, own_vc[proc], new_vc[proc]
-            ):
-                if interval.proc == pid:
-                    raise AssertionError("received a notice for own interval")
-                ua = interval.units_arr
-                if not ua.shape[0]:
-                    continue
-                n += ua.shape[0]
-                ku = ua[ua % nprocs != pid]  # home(unit) != self.pid
-                if not ku.shape[0]:
-                    continue
-                newly_invalid += int((pending_n[ku] == 0).sum())
-                pending_n[ku] += 1
-                persist[ku] = False
-                invalidate_many(ku)
-                iproc, iidx, iseq = (
-                    interval.proc,
-                    interval.index,
-                    interval.commit_seq,
-                )
-                for unit in ku.tolist():
-                    lst = pending.get(unit)
-                    if lst is None:
-                        lst = pending[unit] = []
-                    lst.append(
-                        WriteNotice(
-                            proc=iproc, index=iidx, unit=unit, commit_seq=iseq
-                        )
-                    )
-        self.vc.join(new_vc)
-        cost = newly_invalid * self.config.mprotect_us
-        self.stats.mprotects += newly_invalid
-        return cost, n * self.config.write_notice_bytes, n
+    def _invalidated_units(
+        self, units: "np.ndarray[Any, np.dtype[Any]]"
+    ) -> "np.ndarray[Any, np.dtype[Any]]":
+        return units[units % self.config.nprocs != self.pid]  # home != self
 
     # ------------------------------------------------------------------
     # Fault service: one whole-unit round trip per home
@@ -230,37 +180,7 @@ class HomeLrcProc(LrcProc):
                     )
         stall += 2 * self.config.msg_cpu_us * len(by_home)
 
-        for unit in units:
-            self.pending.pop(unit, None)
-            self.pending_n[unit] = 0
-        self.stats.mprotects += len(units)
-        cost = (
-            self.config.fault_trap_us
-            + len(units) * self.config.mprotect_us
-            + stall
-            + apply_cost
-        )
-        trace_eid = None
-        if self.trace is not None:
-            trace_eid = self.trace.on_fault(
-                proc=self.pid,
-                ts=now,
-                fault_id=fault_id,
-                units=tuple(units),
-                writers=len(by_home),
-                exchange_ids=tuple(exchange_ids),
-                stall_us=stall,
-                cost_us=cost,
-            )
-        self.stats.record_fault(
-            proc=self.pid,
-            time_us=now,
-            units=tuple(units),
-            writers=len(by_home),
-            exchange_ids=tuple(exchange_ids),
-            trace_eid=trace_eid,
-        )
-        self.clock.advance(cost)
+        self._finish_fault(units, len(by_home), exchange_ids, stall, apply_cost)
 
 
 def _build(

@@ -30,6 +30,10 @@ Modelling notes:
 * Invalidated units are marked with a sentinel pending entry so the
   existing aggregation strategies (which only test pending-ness) drive
   fault service unchanged.
+* The access path is the base class's.  SWI plugs into it through the
+  two write hooks -- ``_prepare_write`` takes exclusive ownership,
+  ``_unwritable_units`` is "not exclusively owned here" -- so scalar and
+  batched writes acquire ownership at the same first-touch positions.
 """
 
 from __future__ import annotations
@@ -39,7 +43,6 @@ from typing import TYPE_CHECKING, Any, Dict, List, Sequence, Set
 import numpy as np
 
 from repro.dsm.diff import DIFF_HEADER_BYTES
-from repro.dsm.intervals import WriteNotice
 from repro.dsm.lrc import REQUEST_BASE_BYTES, REQUEST_ENTRY_BYTES, LrcProc
 from repro.protocols.base import CreditFn, ProtocolInfo, register
 from repro.sim.network import MessageClass
@@ -59,13 +62,12 @@ INVALIDATE_BYTES = 12
 INVALIDATE_ACK_BYTES = 8
 
 
-def _sentinel(unit: int) -> WriteNotice:
-    """The pending-list marker for an invalidated unit.  SWI has no
-    intervals, so the notice fields are dummies; only the list's
-    truthiness (tested by the aggregators and :meth:`SwiProc.fetch`)
-    matters.  ``proc=-1`` can never collide with a real interval in the
-    barrier GC's referenced-set bookkeeping."""
-    return WriteNotice(proc=-1, index=0, unit=unit, commit_seq=0)
+#: The ``(proc, index, commit_seq)`` of the pending-list marker for an
+#: invalidated unit.  SWI has no intervals, so the fields are dummies:
+#: only the list's truthiness (tested by the aggregators and
+#: :meth:`SwiProc.fetch`) matters.  ``proc=-1`` can never collide with a
+#: real interval in the barrier GC's referenced-set bookkeeping.
+_SENTINEL = (-1, 0, 0)
 
 
 class OwnershipDirectory:
@@ -102,43 +104,15 @@ class SwiProc(LrcProc):
     directory: OwnershipDirectory
 
     # ------------------------------------------------------------------
-    # Write path: ownership + invalidation before the store
+    # Write path: ownership + invalidation before the store.  The base
+    # access path (scalar and batched alike) prepares every first write
+    # through these two hooks; here "writable" means exclusively owned.
     # ------------------------------------------------------------------
-    def write_words(
-        self, word0: int, values: "np.ndarray[Any, np.dtype[Any]]"
-    ) -> None:
-        nwords = int(values.shape[0])
-        self._check_range(word0, nwords)
-        assert self.aggregator is not None
-        self.aggregator.ensure_valid(word0, nwords)
-        for unit in self.layout.units_of_range(word0, nwords):
-            self._ensure_exclusive(unit)
-        if self.trace is not None:
-            self.trace.on_access(self.pid, self.clock.now, "write", word0, nwords)
-        self.tracker.on_write(word0, nwords)
-        self.space.write_words(word0, values)
-        self.clock.advance(
-            self.config.region_op_us + nwords * self.config.word_access_us
-        )
+    def _prepare_write(self, unit: int) -> None:
+        self._ensure_exclusive(unit)
 
-    # ------------------------------------------------------------------
-    # Bulk scatter fast path: ready only when already exclusive
-    # ------------------------------------------------------------------
-    def _bulk_write_ready(self, units: List[int]) -> bool:
-        """The scatter fast path may run only when every touched unit is
-        already exclusively owned here, under which
-        :meth:`_ensure_exclusive` is a guaranteed no-op; otherwise the
-        reference loop performs the ownership acquisitions per range."""
-        excl = self.directory.excl
-        pid = self.pid
-        return all(excl[u] == pid for u in units)
-
-    def _bulk_write_prep_needed(self, units: List[int]) -> bool:
-        return False
-
-    def _bulk_write_prep(self, word0: int, nwords: int) -> None:
-        """No-op: SWI has no twins, and :meth:`_bulk_write_ready`
-        established exclusive ownership of every touched unit."""
+    def _unwritable_units(self) -> "np.ndarray[Any, np.dtype[Any]]":
+        return self.directory.excl != self.pid
 
     def _ensure_exclusive(self, unit: int) -> None:
         """Make this processor the exclusive owner of ``unit`` (the
@@ -185,10 +159,7 @@ class SwiProc(LrcProc):
             )
             peer = self.peers[peer_pid]
             if not peer.pending_n[unit]:
-                peer.pending[unit] = [_sentinel(unit)]
-                peer.pending_n[unit] = 1
-                assert peer.aggregator is not None
-                peer.aggregator.on_invalidate(unit)
+                peer._add_notices(np.array([unit]), *_SENTINEL)
                 self.stats.mprotects += 1  # the holder protects its copy
             self.stats.invalidations += 1
         if sharers:
@@ -275,37 +246,7 @@ class SwiProc(LrcProc):
                     )
         stall += 2 * self.config.msg_cpu_us * len(by_owner)
 
-        for unit in units:
-            self.pending.pop(unit, None)
-            self.pending_n[unit] = 0
-        self.stats.mprotects += len(units)
-        cost = (
-            self.config.fault_trap_us
-            + len(units) * self.config.mprotect_us
-            + stall
-            + apply_cost
-        )
-        trace_eid = None
-        if self.trace is not None:
-            trace_eid = self.trace.on_fault(
-                proc=self.pid,
-                ts=now,
-                fault_id=fault_id,
-                units=tuple(units),
-                writers=len(by_owner),
-                exchange_ids=tuple(exchange_ids),
-                stall_us=stall,
-                cost_us=cost,
-            )
-        self.stats.record_fault(
-            proc=self.pid,
-            time_us=now,
-            units=tuple(units),
-            writers=len(by_owner),
-            exchange_ids=tuple(exchange_ids),
-            trace_eid=trace_eid,
-        )
-        self.clock.advance(cost)
+        self._finish_fault(units, len(by_owner), exchange_ids, stall, apply_cost)
 
 
 def _build(

@@ -162,7 +162,7 @@ class WordTracker:
         self._npending -= n
 
     # ------------------------------------------------------------------
-    # Batched application-side events (bulk middle tier)
+    # Batched application-side events (LrcProc._batched)
     # ------------------------------------------------------------------
     def resolve_read(self, idx: np.ndarray) -> None:
         """Resolve a batch of read word offsets (flat, pairwise

@@ -7,14 +7,16 @@ oracle; this suite drives randomized inputs through both and asserts
 * ``barnes.build_tree``            vs ``barnes.build_tree_ref``
 * ``barnes.batched_forces_soa``    vs ``barnes.batched_forces`` (AoS)
 * ``LrcProc._interval_diffs``      vs ``LrcProc._interval_diffs_ref``
-  (in situ, on real twin/pool state, covering the small / dense /
-  sparse-flat kernel branches), plus the RLE wire-size and round-trip
+  (in situ, on real twin-pool state, on both sides of the size
+  threshold -- the reference branch and the row kernel, the latter on
+  dense and on sparse pages), plus the RLE wire-size and round-trip
   invariants of each produced diff
 * the batched write-notice application's ``pending_n`` counter array
   vs the per-unit ``pending`` lists it summarizes
-* a random gather/scatter program under ``access_mode='bulk'`` vs the
-  word-decomposed ``'scalar'`` mode (the differential gate extended to
-  row kernels).
+* random gather/scatter programs under ``access_mode='bulk'`` vs the
+  range-decomposed ``'scalar'`` mode, over every protocol, static and
+  dynamic units, and raw ranges that straddle units, span more than two,
+  or overlap (the differential gate of the one batched access path).
 """
 
 import dataclasses
@@ -31,6 +33,7 @@ from repro.apps.barnes import (
     build_tree_ref,
 )
 from repro.core import SimConfig, TreadMarks
+from repro.dsm.address_space import AddressSpace
 from repro.dsm.diff import _wire_bytes, apply_diff
 from repro.dsm.lrc import LrcProc
 
@@ -122,16 +125,16 @@ def test_batched_forces_soa_matches_aos(cloud, stride):
 
 WPU = 1024  # words per 4 KB page
 NPAGES = 210  # every proc owns > 64 pages: intervals can exceed the
-# small-path cutoff of the batched diff kernel
+# size threshold of the row diff kernel
 
 
 @st.composite
 def write_programs(draw):
     """Barrier-phased programs where each processor writes only pages it
     owns (page p belongs to proc p % nprocs -- no races), with rounds
-    drawn to exercise all three ``_interval_diffs`` branches: few pages
-    (reference path), many nearly-full pages (dense batched path), and
-    many single-word touches (sparse flat-kernel path)."""
+    drawn to exercise both ``_interval_diffs`` branches: few pages
+    (reference path) and more than 64 pages (row kernel), the latter
+    nearly full (dense) or touched a few words each (sparse)."""
     nprocs = draw(st.integers(2, 3))
     nrounds = draw(st.integers(1, 3))
     rounds = []
@@ -201,7 +204,7 @@ def test_interval_diffs_match_reference_in_situ(program):
             assert np.array_equal(d.values, r.values)
             assert d.nwords == r.nwords == d.idx.shape[0]
             assert d.wire_bytes == r.wire_bytes == _wire_bytes(d.idx)
-            twin = self.twins[unit].copy()
+            twin = self.twin(unit).copy()
             apply_diff(d, twin)
             assert np.array_equal(twin, self.space.unit_view(unit))
         closes.append(len(vec))
@@ -245,6 +248,39 @@ def test_pending_n_matches_pending_lists(program):
 # ----------------------------------------------------------------------
 
 ROWS, COLS = 96, 64  # 24 KB array: several pages, rows share pages
+RAW_WORDS = 24 * WPU  # raw word region: 24 pages
+RAW_SHIFT = 300  # per-proc write segments start mid-page (false sharing)
+
+#: (unit_pages, dynamic): the dynamic aggregator needs single-page units.
+UNIT_SHAPES = [(1, False), (1, True), (2, False), (4, False)]
+
+
+def _raw_segment(p, nprocs):
+    """Word range of the raw region that only proc ``p`` writes."""
+    seg = RAW_WORDS // nprocs
+    return p * seg + RAW_SHIFT, min((p + 1) * seg + RAW_SHIFT, RAW_WORDS)
+
+
+@st.composite
+def raw_ops(draw, lo, hi):
+    """One raw gather/scatter inside ``[lo, hi)``: range lengths from a
+    word to more than two 4 KB units, in drawn (not sorted) order, and
+    either pairwise disjoint or free to overlap and repeat."""
+    nwords = draw(st.sampled_from([1, 7, 64, 1000, 1100, 2500]))
+    slots = (hi - lo) // nwords
+    n = draw(st.integers(1, min(6, slots)))
+    if draw(st.booleans()):  # overlapping
+        starts = draw(
+            st.lists(st.integers(lo, hi - nwords), min_size=n, max_size=n)
+        )
+    else:
+        jitter = draw(st.integers(0, (hi - lo) - slots * nwords))
+        picks = draw(
+            st.lists(st.integers(0, slots - 1), min_size=n, max_size=n,
+                     unique=True)
+        )
+        starts = [lo + jitter + k * nwords for k in picks]
+    return starts, nwords, draw(st.integers(0, 2**31 - 1))
 
 
 @st.composite
@@ -269,53 +305,113 @@ def row_programs(draw):
             )
             value = draw(st.integers(1, 2**20))
             r0 = draw(st.integers(0, ROWS - 4))
-            per_proc[p] = (wrows, value, (r0, r0 + 4))
+            scatters = draw(
+                st.lists(raw_ops(*_raw_segment(p, nprocs)), max_size=2)
+            )
+            gathers = draw(st.lists(raw_ops(0, RAW_WORDS), max_size=2))
+            per_proc[p] = (wrows, value, (r0, r0 + 4), scatters, gathers)
         rounds.append(per_proc)
     return nprocs, rounds
 
 
-def _run_rows(nprocs, rounds, access_mode):
+def _run_rows(nprocs, rounds, access_mode, **cfg_kwargs):
     tmk = TreadMarks(
-        SimConfig(nprocs=nprocs, access_mode=access_mode),
-        heap_bytes=ROWS * COLS * 4 + 65536,
+        SimConfig(nprocs=nprocs, access_mode=access_mode, **cfg_kwargs),
+        heap_bytes=(ROWS * COLS + RAW_WORDS) * 4 + 65536,
     )
     arr = tmk.array("m", (ROWS, COLS), "uint32")
+    raw = tmk.array("raw", (RAW_WORDS,), "uint32")
+    raw0 = raw.word_offset(0)
     final = {}
 
     def body(proc):
         for r, per_proc in enumerate(rounds):
-            wrows, value, (g0, g1) = per_proc[proc.id]
+            wrows, value, (g0, g1), scatters, gathers = per_proc[proc.id]
             if wrows:
                 ridx = np.asarray(wrows, dtype=np.int64)
                 block = np.full((len(wrows), COLS), value, np.uint32)
                 block += ridx[:, None].astype(np.uint32)
                 arr.scatter_rows(proc, ridx, block)
+            for starts, nwords, seed in scatters:
+                vals = np.random.default_rng(seed).integers(
+                    1, 2**32, (len(starts), nwords), dtype=np.uint32
+                )
+                proc.write_scatter(raw0 + np.asarray(starts), vals)
             proc.barrier(r)
             arr.read_rows(proc, g0, g1)
             garow = np.arange(g0, g1, dtype=np.int64)
             arr.gather_rows(proc, garow, 0, min(8, COLS))
+            for starts, nwords, _seed in gathers:
+                proc.read_gather(raw0 + np.asarray(starts), nwords)
         got = arr.read_rows(proc, 0, ROWS)
+        got_raw = raw.read(proc, 0, RAW_WORDS)
         if proc.id == 0:
-            final["mem"] = got.copy()
+            final["mem"] = np.concatenate((got.reshape(-1), got_raw))
         proc.barrier(999)
-        return float(got.astype(np.float64).sum())
+        return float(got.astype(np.float64).sum()) + float(
+            got_raw.astype(np.float64).sum()
+        )
 
     res = tmk.run(body)
     return res, final["mem"]
 
 
-@given(row_programs())
-@settings(max_examples=8, deadline=None)
-def test_random_gather_scatter_bulk_matches_scalar(program):
-    """The row-kernel differential gate on random programs: a bulk-mode
-    run must match the scalar word-decomposed run in final memory,
-    checksum, simulated time, and every protocol counter."""
-    nprocs, rounds = program
-    bulk, mem_bulk = _run_rows(nprocs, rounds, "bulk")
-    scalar, mem_scalar = _run_rows(nprocs, rounds, "scalar")
+def _assert_bulk_matches_scalar(nprocs, rounds, **cfg_kwargs):
+    bulk, mem_bulk = _run_rows(nprocs, rounds, "bulk", **cfg_kwargs)
+    scalar, mem_scalar = _run_rows(nprocs, rounds, "scalar", **cfg_kwargs)
     assert np.array_equal(mem_bulk, mem_scalar)
     assert bulk.checksum == scalar.checksum
     assert bulk.time_us == scalar.time_us
     assert dataclasses.asdict(bulk.stats) == dataclasses.asdict(
         scalar.stats
     )
+    return mem_bulk
+
+
+@given(
+    row_programs(),
+    st.sampled_from(["tm-lrc", "hlrc", "erc", "swi"]),
+    st.sampled_from(UNIT_SHAPES),
+)
+@settings(max_examples=60, deadline=None)
+def test_random_gather_scatter_bulk_matches_scalar(program, protocol, unit):
+    """The differential gate on random programs: a bulk-mode run must
+    match the scalar range-decomposed run in final memory, checksum,
+    simulated time, and every protocol counter."""
+    nprocs, rounds = program
+    unit_pages, dynamic = unit
+    _assert_bulk_matches_scalar(
+        nprocs, rounds, protocol=protocol, unit_pages=unit_pages,
+        dynamic=dynamic,
+    )
+
+
+def test_overlapping_ranges_take_the_reference_loop(monkeypatch):
+    """Rows of one scatter that overlap (or repeat) must land as the
+    sequential loop of range writes leaves them -- the later row wins --
+    without relying on the order NumPy picks for repeated indices in one
+    advanced assignment: such a scatter must never reach
+    ``AddressSpace.scatter``.  Likewise an overlapping gather over
+    freshly fetched words must credit each word once."""
+    real_scatter = AddressSpace.scatter
+
+    def disjoint_scatter(self, starts, values):
+        gaps = np.diff(np.sort(starts))
+        assert gaps.size == 0 or gaps.min() >= values.shape[1]
+        real_scatter(self, starts, values)
+
+    monkeypatch.setattr(AddressSpace, "scatter", disjoint_scatter)
+    starts = [40, 44, 40, 47]
+    # Proc 1 first faults the unit in with a one-word read (leaving the
+    # other fetched words pending), then gathers overlapping ranges.
+    gathers = [([300], 1, 0), (starts, 8, 0)]
+    rounds = [
+        {0: ([], 1, (0, 4), [(starts, 8, 7)], []),
+         1: ([], 1, (0, 4), [], gathers)},
+    ]
+    mem = _assert_bulk_matches_scalar(2, rounds)
+    vals = np.random.default_rng(7).integers(1, 2**32, (4, 8), dtype=np.uint32)
+    want = np.zeros(RAW_WORDS, dtype=np.uint32)
+    for start, row in zip(starts, vals, strict=True):
+        want[start : start + 8] = row
+    assert np.array_equal(mem[ROWS * COLS :], want)

@@ -12,9 +12,9 @@ every bulk access decomposed into word-granularity operations
 This suite is that claim as tests: every application under every
 protocol of the zoo, at multiple consistency-unit sizes.  The scalar
 runs take the reference decomposition loop, so any divergence localizes
-a bug in the fast path's analytic charging (or a protocol whose
-overrides the fast path fails to respect -- see
-``LrcProc._bulk_write_ready`` and friends).
+a bug in the batched path's analytic charging (or a protocol whose
+write hooks it fails to respect -- see ``LrcProc._prepare_write`` and
+``_unwritable_units``).
 """
 
 import random
@@ -34,7 +34,7 @@ PROTOCOLS = (DEFAULT_PROTOCOL, "hlrc", "erc", "swi")
 
 #: Unit sizes exercised per protocol.  The default protocol gets the
 #: full label sweep; the zoo protocols get the page unit and the
-#: dynamic aggregator (the two regimes with distinct bulk-path tiers).
+#: dynamic aggregator (the two aggregation strategies).
 LABELS_FOR = {p: ("4K", "Dyn") for p in PROTOCOLS}
 LABELS_FOR[DEFAULT_PROTOCOL] = ("4K", "8K", "16K", "Dyn")
 

@@ -169,7 +169,7 @@ class TestNoLrcMachinery:
             proc.barrier(1)
 
         tmk.run(body)
-        assert all(not lp.twins for lp in tmk.procs)
+        assert all(not lp.twinned.any() for lp in tmk.procs)
         assert tmk.stats.diffs_created == 0
         assert all(all(e == 0 for e in lp.vc) for lp in tmk.procs)
 
