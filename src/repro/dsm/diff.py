@@ -25,6 +25,11 @@ DIFF_HEADER_BYTES = 16
 
 WORD = 4  # bytes per instrumentation word
 
+#: ``wire_bytes - nwords * WORD`` of a diff whose offsets form a single
+#: run.  The wire size already encodes the run count, so contiguity is
+#: one integer compare -- nothing extra is stored or computed per diff.
+ONE_RUN_BYTES = DIFF_HEADER_BYTES + RUN_HEADER_BYTES
+
 
 @dataclass(frozen=True, slots=True)
 class Diff:
@@ -75,10 +80,10 @@ def create_diff(unit: int, twin: np.ndarray, current: np.ndarray) -> Diff:
     )
 
 
-def merge_diffs(diffs: "list[Diff]") -> Diff:
+def merge_diffs(diffs: "list[Diff]", unit_words: int) -> Diff:
     """Coalesce several diffs of the *same unit from the same writer*
     (in interval order) into one diff carrying the latest value of each
-    word.
+    word; ``unit_words`` is the unit's size in words.
 
     This reproduces TreadMarks' lazy diffing: the real system keeps one
     twin per page across intervals and computes a single diff covering
@@ -87,6 +92,13 @@ def merge_diffs(diffs: "list[Diff]") -> Diff:
     ("diff accumulation" is avoided for single-writer pages).  Our
     simulator closes intervals eagerly, so we coalesce at fetch time
     instead -- the wire contents and sizes are identical.
+
+    Each diff is scattered, in order, into a unit-sized scratch: a later
+    diff overwrites an earlier one's word, so the scratch ends holding
+    the last value of every touched word, and the touched mask read back
+    with ``flatnonzero`` is the ascending offset list -- no sort.  The
+    merged arrays are read-only: a merged diff is cached and shared
+    between requesters (``IntervalStore.diff_scan_cache``).
     """
     if not diffs:
         raise ValueError("merge_diffs needs at least one diff")
@@ -96,18 +108,30 @@ def merge_diffs(diffs: "list[Diff]") -> Diff:
             raise ValueError(f"cannot merge diffs of units {unit} and {d.unit}")
     if len(diffs) == 1:
         return diffs[0]
-    idx = np.concatenate([d.idx for d in diffs])
-    values = np.concatenate([d.values for d in diffs])
-    # Keep the LAST occurrence of every word offset (latest interval
-    # wins): np.unique on the reversed stream returns first occurrences,
-    # which are last occurrences of the original order.
-    rev_idx = idx[::-1]
-    uniq, first_pos = np.unique(rev_idx, return_index=True)
-    merged_vals = values[::-1][first_pos]
-    uniq = uniq.astype(np.int32)
+    scratch = np.empty(unit_words, dtype=np.uint32)
+    touched = np.zeros(unit_words, dtype=bool)
+    for d in diffs:
+        scratch[d.idx] = d.values
+        touched[d.idx] = True
+    idx = np.flatnonzero(touched).astype(np.int32)
+    values = scratch[idx]
+    idx.flags.writeable = False
+    values.flags.writeable = False
     return Diff(
-        unit=unit, idx=uniq, values=merged_vals, wire_bytes=_wire_bytes(uniq),
-        nwords=int(uniq.shape[0]),
+        unit=unit, idx=idx, values=values, wire_bytes=_wire_bytes(idx),
+        nwords=int(idx.shape[0]),
+    )
+
+
+def whole_unit_diff(unit: int, words: np.ndarray) -> Diff:
+    """The diff that replaces every word of ``unit`` with ``words`` (not
+    copied): the shape of a whole-unit transfer, so the protocols that
+    ship full units install them through the same kernel as
+    word-granularity diffs."""
+    n = int(words.shape[0])
+    return Diff(
+        unit=unit, idx=np.arange(n, dtype=np.int32), values=words,
+        wire_bytes=ONE_RUN_BYTES + n * WORD, nwords=n,
     )
 
 

@@ -18,7 +18,7 @@ concurrent.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Container, Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -81,11 +81,16 @@ class IntervalStore:
         self._commit_counter = 0
         self.collected = 0
         """Intervals reclaimed by :meth:`collect` over the run."""
-        self.diff_scan_cache = set()
-        """Keys (proc, unit, first_index, last_index) of coalesced diffs
-        already created: TreadMarks keeps created diffs in a diff cache,
-        so later requests for the same span are served without another
-        word-compare scan."""
+        self.diff_scan_cache: Dict[Tuple[int, int, int, int], Diff] = {}
+        """The diff cache TreadMarks keeps per node: ``(proc, unit,
+        first_index, last_index)`` -> the coalesced diff of ``proc``'s
+        writes to ``unit`` over that span of its intervals.  The first
+        request for a span pays the word-compare scan and stores the
+        diff; every later requester is served the stored object.  A key
+        names its constituent intervals (those of ``proc`` in the index
+        range that wrote ``unit``), so equal keys mean equal diffs.
+        Written by every protocol that creates diffs; entries leave only
+        through :meth:`collect`, with the intervals they cover."""
 
     def close_interval(
         self, proc: int, vc: VectorClock, diffs: Dict[int, Diff]
@@ -150,7 +155,9 @@ class IntervalStore:
         for i in range(after + 1, upto + 1):
             yield self.get(proc, i)
 
-    def collect(self, known_vc: VectorClock, referenced) -> int:
+    def collect(
+        self, known_vc: VectorClock, referenced: Container[Tuple[int, int]]
+    ) -> int:
         """Garbage-collect intervals, as TreadMarks does periodically.
 
         An interval (p, i) is reclaimable when every processor's
@@ -161,16 +168,35 @@ class IntervalStore:
         intervals reclaimed.
         """
         dropped = 0
+        reclaimed: List[Dict[int, Interval]] = []
         for p in range(self.nprocs):
-            dead = [
-                i
-                for i in self._by_proc[p]
+            live = self._by_proc[p]
+            dead = {
+                i: live[i]
+                for i in live
                 if i <= known_vc[p] and (p, i) not in referenced
-            ]
+            }
             for i in dead:
-                del self._by_proc[p][i]
+                del live[i]
+            reclaimed.append(dead)
             dropped += len(dead)
         self.collected += dropped
+        if dropped:
+            # A cached span goes as soon as one of its constituent
+            # intervals does: a hit always has live intervals behind it,
+            # and a request for a span GC should have kept alive misses
+            # and raises in :meth:`get` instead of being served.
+            cache = self.diff_scan_cache
+            stale = [
+                (p, unit, first, last)
+                for p, unit, first, last in cache
+                if any(
+                    i in reclaimed[p] and unit in reclaimed[p][i].diffs
+                    for i in range(first, last + 1)
+                )
+            ]
+            for key in stale:
+                del cache[key]
         return dropped
 
     def notices_between(

@@ -43,7 +43,14 @@ from typing import (
 import numpy as np
 
 from repro.dsm.address_space import AddressSpace, SharedHeapLayout
-from repro.dsm.diff import Diff, _wire_bytes, apply_diff, create_diff, merge_diffs
+from repro.dsm.diff import (
+    ONE_RUN_BYTES,
+    WORD,
+    Diff,
+    _wire_bytes,
+    create_diff,
+    merge_diffs,
+)
 from repro.dsm.intervals import IntervalStore, WriteNotice
 from repro.dsm.vc import VectorClock
 from repro.sim.clock import Clock
@@ -592,27 +599,30 @@ class LrcProc:
             else:
                 runs.append([nt])
 
-        per_writer_runs: Dict[int, List[Diff]] = {w: [] for w in by_writer}
-        # (commit order position, writer, diff)
-        to_apply: List[Tuple[int, int, Diff]] = []
+        # Beside each run, in global commit order: its coalesced diff
+        # and (filled in by the exchange that carries it) the id of the
+        # reply message.
+        run_diff: List[Diff] = []
+        run_reply = [0] * len(runs)
+        writer_runs: Dict[int, List[int]] = {w: [] for w in by_writer}
         writer_diff_cost: Dict[int, float] = {w: 0.0 for w in by_writer}
         store_get = self.store.get
-        scan_cache = self.store.diff_scan_cache
+        span_cache = self.store.diff_scan_cache
         unit_scan_us = self.layout.unit_bytes * config.diff_create_byte_us
+        wpu = self._wpu
         for position, run in enumerate(runs):
-            d = merge_diffs(
-                [store_get(nt.proc, nt.index).diff_for(nt.unit) for nt in run]
-            )
             first = run[0]
-            per_writer_runs[first.proc].append(d)
-            to_apply.append((position, first.proc, d))
             # Lazy diffing: the writer scans the unit when a span is
             # first requested (the cost sits on the response path) and
             # caches the result; later requests for the same span are
-            # served from the diff cache.
-            cache_key = (first.proc, first.unit, first.index, run[-1].index)
-            if cache_key not in scan_cache:
-                scan_cache.add(cache_key)
+            # served the cached diff.
+            key = (first.proc, first.unit, first.index, run[-1].index)
+            d = span_cache.get(key)
+            if d is None:
+                d = span_cache[key] = merge_diffs(
+                    [store_get(nt.proc, nt.index).diff_for(nt.unit) for nt in run],
+                    wpu,
+                )
                 writer_diff_cost[first.proc] += unit_scan_us
                 self.stats.diffs_created += 1
                 self.stats.diff_words_created += d.nwords
@@ -620,28 +630,29 @@ class LrcProc:
                     self.trace.on_diff_create(
                         first.proc, self.pid, now, first.unit, d.nwords
                     )
+            run_diff.append(d)
+            writer_runs[first.proc].append(position)
 
         # Build the exchanges: normally one per writer carrying all that
         # writer's runs; with combine_requests disabled (ablation), one
         # per (writer, run).
-        # (writer, [run diffs], n_notices)
-        exchange_plans: List[Tuple[int, List[Diff], int]] = []
+        # (writer, [run positions], n_notices)
+        exchange_plans: List[Tuple[int, List[int], int]] = []
         if config.combine_requests:
             for writer in sorted(by_writer):
                 exchange_plans.append(
-                    (writer, per_writer_runs[writer], len(by_writer[writer]))
+                    (writer, writer_runs[writer], len(by_writer[writer]))
                 )
         else:
-            for _pos, writer, d in to_apply:
-                exchange_plans.append((writer, [d], 1))
+            for position, run in enumerate(runs):
+                exchange_plans.append((run[0].proc, [position], 1))
 
         stall = 0.0
         exchange_ids: List[int] = []
-        reply_of_run: Dict[int, int] = {}  # id(diff) -> reply msg id
         network = self.network
         msg_cost = config.msg_cost_us
         parallel = config.parallel_fetch
-        for writer, run_diffs, n_notices in exchange_plans:
+        for writer, positions, n_notices in exchange_plans:
             ex = network.new_exchange(self.pid, writer, fault_id)
             exchange_ids.append(ex)
             req_bytes = REQUEST_BASE_BYTES + REQUEST_ENTRY_BYTES * n_notices
@@ -652,15 +663,15 @@ class LrcProc:
                 self.pid, writer, MessageClass.DIFF_REQUEST, req_bytes, now, ex,
                 waiter=self.pid,
             )
-            reply_bytes = sum(d.wire_bytes for d in run_diffs)
-            reply_words = sum(d.nwords for d in run_diffs)
+            reply_bytes = sum(run_diff[p].wire_bytes for p in positions)
+            reply_words = sum(run_diff[p].nwords for p in positions)
             reply = network.record(
                 writer, self.pid, MessageClass.DIFF_REPLY, reply_bytes, now, ex,
                 waiter=self.pid,
             )
             reply.words_carried = reply_words
-            for d in run_diffs:
-                reply_of_run[id(d)] = reply.msg_id
+            for position in positions:
+                run_reply[position] = reply.msg_id
             network.close_exchange(ex, req.msg_id, reply.msg_id)
             response_time = (
                 msg_cost(req_bytes)
@@ -680,15 +691,10 @@ class LrcProc:
         # Apply in global commit order.
         apply_cost = 0.0
         stats = self.stats
-        tracker_mark = self.tracker.mark
+        install = self.install
         apply_byte_us = config.diff_apply_byte_us
-        wpu = self._wpu
-        for _pos, writer, d in to_apply:
-            msg_id = reply_of_run[id(d)]
-            w0 = d.unit * wpu
-            apply_diff(d, self.space.unit_view(d.unit))
-            if d.nwords:
-                tracker_mark(d.idx + np.int64(w0), msg_id)
+        for run, d, msg_id in zip(runs, run_diff, run_reply, strict=True):
+            install(d, msg_id)
             apply_cost += d.data_bytes * apply_byte_us
             stats.diffs_applied += 1
             stats.diff_words_applied += d.nwords
@@ -697,17 +703,48 @@ class LrcProc:
                 page_words: Tuple[int, ...] = ()
                 if d.nwords:
                     pg, cnt = np.unique(
-                        (d.idx.astype(np.int64) + w0) // self.layout.words_per_page,
+                        (d.idx.astype(np.int64) + d.unit * wpu)
+                        // self.layout.words_per_page,
                         return_counts=True,
                     )
                     pages = tuple(int(p) for p in pg)
                     page_words = tuple(int(c) for c in cnt)
                 self.trace.on_diff_apply(
-                    self.pid, now, d.unit, writer, d.nwords, msg_id,
+                    self.pid, now, d.unit, run[0].proc, d.nwords, msg_id,
                     pages, page_words,
                 )
 
         self._finish_fault(units, len(by_writer), exchange_ids, stall, apply_cost)
+
+    def install(self, d: Diff, msg_id: int) -> None:
+        """Patch ``d`` into this processor's copy of its unit and tag
+        the installed words as carried by message ``msg_id`` -- the one
+        way diff data enters a processor's memory, whatever the
+        protocol.
+
+        The one branch is on the data's shape.  A diff whose offsets
+        form a single run (read off its wire size, which encodes the
+        run count) is a slice copy plus a slice mark; anything else
+        goes through its offset list.  The two are the same assignment:
+        a fancy index over a contiguous ascending offset list addresses
+        exactly the slice."""
+        n = d.nwords
+        if not n:
+            return
+        wpu = self._wpu
+        if int(d.idx[-1]) >= wpu:
+            raise IndexError(
+                f"diff touches word {int(d.idx[-1])} beyond unit of {wpu} words"
+            )
+        w0 = d.unit * wpu
+        if d.wire_bytes == ONE_RUN_BYTES + n * WORD:
+            w0 += int(d.idx[0])
+            self.space.words[w0 : w0 + n] = d.values
+            self.tracker.mark_run(w0, n, msg_id)
+        else:
+            idx = d.idx + np.int64(w0)
+            self.space.words[idx] = d.values
+            self.tracker.mark(idx, msg_id)
 
     def _finish_fault(
         self,

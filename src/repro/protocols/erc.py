@@ -70,7 +70,7 @@ class EagerRcProc(LrcProc):
             d = interval.diff_for(unit)
             key = (self.pid, unit, interval.index, interval.index)
             if key not in self.store.diff_scan_cache:
-                self.store.diff_scan_cache.add(key)
+                self.store.diff_scan_cache[key] = d
                 cost += self.layout.unit_bytes * self.config.diff_create_byte_us
                 self.stats.diffs_created += 1
                 self.stats.diff_words_created += d.nwords
@@ -95,12 +95,9 @@ class EagerRcProc(LrcProc):
             msg.words_carried = total_words
             cost += self.config.msg_cpu_us  # send-side CPU; no stall
             for d in diffs:
-                apply_diff(d, peer.space.unit_view(d.unit))
+                peer.install(d, msg.msg_id)
                 if peer.twinned[d.unit]:
                     apply_diff(d, peer.twin(d.unit))
-                if d.nwords:
-                    w0, _ = self.layout.unit_word_range(d.unit)
-                    peer.tracker.mark(d.idx.astype(np.int64) + w0, msg.msg_id)
                 self.stats.diffs_applied += 1
                 self.stats.diff_words_applied += d.nwords
             # Eager knowledge transfer: the peer has now seen (and holds

@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Sequence
 
 import numpy as np
 
-from repro.dsm.diff import DIFF_HEADER_BYTES, apply_diff
+from repro.dsm.diff import DIFF_HEADER_BYTES, apply_diff, whole_unit_diff
 from repro.dsm.lrc import REQUEST_BASE_BYTES, REQUEST_ENTRY_BYTES, LrcProc
 from repro.protocols.base import CreditFn, ProtocolInfo, register
 from repro.sim.network import MessageClass
@@ -74,7 +74,7 @@ class HomeLrcProc(LrcProc):
             # first fetch and skips it entirely for never-fetched data).
             key = (self.pid, unit, interval.index, interval.index)
             if key not in self.store.diff_scan_cache:
-                self.store.diff_scan_cache.add(key)
+                self.store.diff_scan_cache[key] = d
                 cost += self.layout.unit_bytes * self.config.diff_create_byte_us
                 self.stats.diffs_created += 1
                 self.stats.diff_words_created += d.nwords
@@ -92,14 +92,11 @@ class HomeLrcProc(LrcProc):
             msg.words_carried = d.nwords
             cost += self.config.msg_cpu_us  # send-side CPU; no stall
             peer = self.peers[home]
-            apply_diff(d, peer.space.unit_view(unit))
+            peer.install(d, msg.msg_id)
             if peer.twinned[unit]:
                 # Patch the home's live twin too, else its next diff
                 # would re-publish our words as its own writes.
                 apply_diff(d, peer.twin(unit))
-            if d.nwords:
-                w0, _ = self.layout.unit_word_range(unit)
-                peer.tracker.mark(d.idx.astype(np.int64) + w0, msg.msg_id)
             self.stats.diffs_applied += 1
             self.stats.diff_words_applied += d.nwords
             self.stats.diff_flushes += 1
@@ -164,13 +161,15 @@ class HomeLrcProc(LrcProc):
             else:
                 stall += response_time
             for unit in hunits:
-                w0, w1 = self.layout.unit_word_range(unit)
-                self.space.unit_view(unit)[:] = self.peers[home].space.unit_view(unit)
-                self.tracker.mark(np.arange(w0, w1, dtype=np.int64), reply.msg_id)
+                self.install(
+                    whole_unit_diff(unit, self.peers[home].space.unit_view(unit)),
+                    reply.msg_id,
+                )
                 apply_cost += self.layout.unit_bytes * self.config.twin_byte_us
                 self.stats.diffs_applied += 1
                 self.stats.diff_words_applied += self.layout.words_per_unit
                 if self.trace is not None:
+                    w0, w1 = self.layout.unit_word_range(unit)
                     pages = tuple(self.layout.pages_of_range(w0, w1 - w0))
                     self.trace.on_diff_apply(
                         self.pid, now, unit, home,

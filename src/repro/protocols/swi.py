@@ -42,7 +42,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Sequence, Set
 
 import numpy as np
 
-from repro.dsm.diff import DIFF_HEADER_BYTES
+from repro.dsm.diff import DIFF_HEADER_BYTES, whole_unit_diff
 from repro.dsm.lrc import REQUEST_BASE_BYTES, REQUEST_ENTRY_BYTES, LrcProc
 from repro.protocols.base import CreditFn, ProtocolInfo, register
 from repro.sim.network import MessageClass
@@ -228,15 +228,17 @@ class SwiProc(LrcProc):
             else:
                 stall += response_time
             for unit in ounits:
-                w0, w1 = self.layout.unit_word_range(unit)
-                self.space.unit_view(unit)[:] = self.peers[owner].space.unit_view(unit)
-                self.tracker.mark(np.arange(w0, w1, dtype=np.int64), reply.msg_id)
+                self.install(
+                    whole_unit_diff(unit, self.peers[owner].space.unit_view(unit)),
+                    reply.msg_id,
+                )
                 apply_cost += self.layout.unit_bytes * self.config.twin_byte_us
                 self.directory.copyset[unit].add(self.pid)
                 self.directory.excl[unit] = -1
                 self.stats.diffs_applied += 1
                 self.stats.diff_words_applied += self.layout.words_per_unit
                 if self.trace is not None:
+                    w0, w1 = self.layout.unit_word_range(unit)
                     pages = tuple(self.layout.pages_of_range(w0, w1 - w0))
                     self.trace.on_diff_apply(
                         self.pid, now, unit, owner,

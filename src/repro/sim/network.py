@@ -16,13 +16,25 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.sim.config import SimConfig
 
 
 class MessageClass(enum.Enum):
     """Protocol classes of simulated messages."""
+
+    ordinal: int
+    """Position in definition order.  Per-class tables (the ledger's
+    counters, the report's classification) are lists indexed by it:
+    ``Enum.__hash__`` is a Python-level call, and the ledger would pay
+    it several times per recorded message through an Enum-keyed dict."""
+
+    def __new__(cls, value: str) -> "MessageClass":
+        member = object.__new__(cls)
+        member._value_ = value
+        member.ordinal = len(cls.__members__)
+        return member
 
     DIFF_REQUEST = "diff_request"
     """A (possibly combined) request for diffs sent at an access miss."""
@@ -83,6 +95,11 @@ SYNC_CLASSES = frozenset(
     }
 )
 
+#: Membership of the two sets above by :attr:`MessageClass.ordinal`, for
+#: the per-message loops (no Enum hashing).
+IS_DATA_CLASS = tuple(c in DATA_CLASSES for c in MessageClass)
+IS_SYNC_CLASS = tuple(c in SYNC_CLASSES for c in MessageClass)
+
 
 @dataclass(slots=True)
 class MessageRecord:
@@ -115,7 +132,7 @@ class MessageRecord:
     def is_useless(self) -> bool:
         """A data message is *useless* when it carries no useful word
         (the paper: "a message that carries no useful data")."""
-        return self.klass in DATA_CLASSES and self.words_useful == 0
+        return IS_DATA_CLASS[self.klass.ordinal] and self.words_useful == 0
 
 
 @dataclass(slots=True)
@@ -142,8 +159,9 @@ class Network:
         self.config = config
         self.messages: List[MessageRecord] = []
         self.exchanges: List[ExchangeRecord] = []
-        self._by_class: Dict[MessageClass, int] = {c: 0 for c in MessageClass}
-        self._bytes_by_class: Dict[MessageClass, int] = {c: 0 for c in MessageClass}
+        # Message and payload-byte totals per class, by class ordinal.
+        self._by_class: List[int] = [0] * len(MessageClass)
+        self._bytes_by_class: List[int] = [0] * len(MessageClass)
         self._next_exchange = 0
         self._observers: List[object] = []
         self._trace = None
@@ -221,8 +239,8 @@ class Network:
             exchange_id=exchange_id,
         )
         self.messages.append(rec)
-        self._by_class[klass] += 1
-        self._bytes_by_class[klass] += payload_bytes
+        self._by_class[klass.ordinal] += 1
+        self._bytes_by_class[klass.ordinal] += payload_bytes
         observers = self._observers
         if observers:
             wire_time = self.config.msg_cost_us(payload_bytes)
@@ -260,31 +278,31 @@ class Network:
         """Number of messages recorded (optionally of one class)."""
         if klass is None:
             return len(self.messages)
-        return self._by_class[klass]
+        return self._by_class[klass.ordinal]
 
     def bytes(self, klass: Optional[MessageClass] = None) -> int:
         """Payload bytes recorded (optionally of one class)."""
         if klass is None:
-            return sum(self._bytes_by_class.values())
-        return self._bytes_by_class[klass]
+            return sum(self._bytes_by_class)
+        return self._bytes_by_class[klass.ordinal]
 
     @property
     def sync_message_count(self) -> int:
         """Messages attributable to locks and barriers."""
-        return sum(self._by_class[c] for c in SYNC_CLASSES)
+        return sum(self._by_class[c.ordinal] for c in SYNC_CLASSES)
 
     @property
     def data_message_count(self) -> int:
         """Messages attributable to data traffic: fault-time requests
         plus every data-carrying class (replies, flushes, pushes)."""
-        return self._by_class[MessageClass.DIFF_REQUEST] + sum(
-            self._by_class[c] for c in DATA_CLASSES
+        return self._by_class[MessageClass.DIFF_REQUEST.ordinal] + sum(
+            self._by_class[c.ordinal] for c in DATA_CLASSES
         )
 
     @property
     def fault_message_count(self) -> int:
         """Transport-level copies injected by the fault lab."""
-        return self._by_class[MessageClass.RETRANSMIT]
+        return self._by_class[MessageClass.RETRANSMIT.ordinal]
 
     def exchange_reply(self, ex_id: int) -> MessageRecord:
         """The reply message of an exchange (for usefulness queries)."""

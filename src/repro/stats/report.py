@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.sim.config import SimConfig
-from repro.sim.network import DATA_CLASSES, SYNC_CLASSES, MessageClass, Network
+from repro.sim.network import IS_DATA_CLASS, IS_SYNC_CLASS, MessageClass, Network
 from repro.stats.counters import ProtocolStats
 from repro.stats.signature import FalseSharingSignature, build_signature
 
@@ -122,15 +122,16 @@ def summarize_comm(network: Network, config: SimConfig) -> CommBreakdown:
     # their replies ("message exchanges" in the paper).
     exchange_useless: Dict[int, bool] = {}
     for msg in network.messages:
-        if msg.klass in DATA_CLASSES and msg.exchange_id is not None:
+        if msg.exchange_id is not None and IS_DATA_CLASS[msg.klass.ordinal]:
             exchange_useless[msg.exchange_id] = msg.is_useless
 
     for msg in network.messages:
+        ordinal = msg.klass.ordinal
         if msg.klass is MessageClass.RETRANSMIT:
             comm.fault_messages += 1
             comm.fault_bytes += msg.payload_bytes
             continue
-        if msg.klass in SYNC_CLASSES:
+        if IS_SYNC_CLASS[ordinal]:
             comm.sync_messages += 1
             comm.sync_bytes += msg.payload_bytes
             continue
@@ -146,7 +147,7 @@ def summarize_comm(network: Network, config: SimConfig) -> CommBreakdown:
             comm.useless_bytes += msg.payload_bytes
         else:
             comm.useful_messages += 1
-            if msg.klass in DATA_CLASSES:
+            if IS_DATA_CLASS[ordinal]:
                 useless_data = msg.words_useless * 4
                 comm.piggybacked_useless_bytes += useless_data
                 comm.useless_bytes += useless_data

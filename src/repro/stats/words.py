@@ -42,7 +42,12 @@ class WordTracker:
         credit: Callable[[int, int], None],
         unit_words: int = 0,
     ) -> None:
-        self._owner = np.full(nwords, -1, dtype=np.int32)
+        self._owner = np.zeros(nwords, dtype=np.int32)
+        """``msg_id + 1`` of the message that installed each pending
+        word, 0 where nothing is pending.  Zero-based so the array can
+        come from ``np.zeros``: it is as large as the heap, one per
+        processor, and pages no diff ever lands on are never touched
+        and never become resident."""
         self._credit = credit
         self._npending = 0
         """Exact count of words currently pending, maintained so the
@@ -61,9 +66,9 @@ class WordTracker:
         re-installed by a later diff before being read re-tags: the
         earlier message's copy was overwritten unread, hence useless for
         that word."""
-        fresh = self._owner[word_idx] < 0
+        fresh = self._owner[word_idx] == 0
         n = int(np.count_nonzero(fresh))
-        self._owner[word_idx] = msg_id
+        self._owner[word_idx] = msg_id + 1
         if not n:
             return
         self._npending += n
@@ -77,6 +82,21 @@ class WordTracker:
             )
             for u, c in zip(units.tolist(), counts.tolist(), strict=True):
                 self._unit_pending[u] += c
+
+    def mark_run(self, word0: int, nwords: int, msg_id: int) -> None:
+        """:meth:`mark` of the contiguous offsets ``[word0,
+        word0+nwords)``, as slices: no index array is built or
+        gathered through."""
+        uw = self._uw
+        unit = word0 // uw
+        if (word0 + nwords - 1) // uw != unit:
+            self.mark(np.arange(word0, word0 + nwords, dtype=np.int64), msg_id)
+            return
+        owner = self._owner[word0 : word0 + nwords]
+        n = nwords - int(np.count_nonzero(owner))
+        owner[:] = msg_id + 1
+        self._npending += n
+        self._unit_pending[unit] += n
 
     # ------------------------------------------------------------------
     # Application-side events
@@ -113,14 +133,14 @@ class WordTracker:
             # Single-word read (lock-protected counters, heap keys):
             # scalar indexing skips the slice/compare/count machinery.
             m = int(self._owner[word0])
-            if m >= 0:
-                self._credit(m, 1)
-                self._owner[word0] = -1
+            if m:
+                self._credit(m - 1, 1)
+                self._owner[word0] = 0
                 self._npending -= 1
                 self._unit_pending[word0 // self._uw] -= 1
             return
         ids = self._owner[word0 : word0 + nwords]
-        pending = ids >= 0
+        pending = ids != 0
         n = int(np.count_nonzero(pending))
         if not n:
             return
@@ -132,13 +152,13 @@ class WordTracker:
             for m in hit.tolist():
                 by_msg[m] = by_msg.get(m, 0) + 1
             for m, c in by_msg.items():
-                self._credit(m, c)
+                self._credit(m - 1, c)
         else:
             msgs, counts = np.unique(hit, return_counts=True)
             for m, c in zip(msgs.tolist(), counts.tolist(), strict=True):
-                self._credit(m, c)
+                self._credit(m - 1, c)
         self._debit_units(word0, nwords, pending, n)
-        ids[pending] = -1  # in-place on the view -> clears the tracker
+        ids[pending] = 0  # in-place on the view -> clears the tracker
         self._npending -= n
 
     def on_write(self, word0: int, nwords: int) -> None:
@@ -147,18 +167,18 @@ class WordTracker:
         if not self._npending or self._units_clear(word0, nwords):
             return
         if nwords == 1:
-            if int(self._owner[word0]) >= 0:
-                self._owner[word0] = -1
+            if int(self._owner[word0]):
+                self._owner[word0] = 0
                 self._npending -= 1
                 self._unit_pending[word0 // self._uw] -= 1
             return
         ids = self._owner[word0 : word0 + nwords]
-        pending = ids >= 0
+        pending = ids != 0
         n = int(np.count_nonzero(pending))
         if not n:
             return
         self._debit_units(word0, nwords, pending, n)
-        ids[pending] = -1
+        ids[pending] = 0
         self._npending -= n
 
     # ------------------------------------------------------------------
@@ -173,15 +193,15 @@ class WordTracker:
         if not self._npending:
             return
         ids = self._owner[idx]
-        pending = ids >= 0
+        pending = ids != 0
         n = int(np.count_nonzero(pending))
         if not n:
             return
         pend_idx = idx[pending]
         msgs, counts = np.unique(ids[pending], return_counts=True)
         for m, c in zip(msgs.tolist(), counts.tolist(), strict=True):
-            self._credit(m, c)
-        self._owner[pend_idx] = -1
+            self._credit(m - 1, c)
+        self._owner[pend_idx] = 0
         self._npending -= n
         units, ucounts = np.unique(pend_idx // self._uw, return_counts=True)
         for u, c in zip(units.tolist(), ucounts.tolist(), strict=True):
@@ -193,12 +213,12 @@ class WordTracker:
         if not self._npending:
             return
         ids = self._owner[idx]
-        pending = ids >= 0
+        pending = ids != 0
         n = int(np.count_nonzero(pending))
         if not n:
             return
         pend_idx = idx[pending]
-        self._owner[pend_idx] = -1
+        self._owner[pend_idx] = 0
         self._npending -= n
         units, ucounts = np.unique(pend_idx // self._uw, return_counts=True)
         for u, c in zip(units.tolist(), ucounts.tolist(), strict=True):

@@ -81,13 +81,13 @@ class TestMerge:
     def test_single_diff_passthrough(self):
         twin = unit_words([0, 0])
         d = create_diff(0, twin, unit_words([1, 0]))
-        assert merge_diffs([d]) is d
+        assert merge_diffs([d], 2) is d
 
     def test_latest_value_wins(self):
         base = unit_words([0, 0, 0, 0])
         d1 = create_diff(0, base, unit_words([1, 1, 0, 0]))
         d2 = create_diff(0, unit_words([1, 1, 0, 0]), unit_words([2, 1, 5, 0]))
-        m = merge_diffs([d1, d2])
+        m = merge_diffs([d1, d2], 4)
         target = base.copy()
         apply_diff(m, target)
         assert list(target) == [2, 1, 5, 0]
@@ -101,7 +101,7 @@ class TestMerge:
             prev = cur.copy()
             cur[rng.choice(256, 30, replace=False)] = rng.integers(100, 200)
             diffs.append(create_diff(0, prev, cur))
-        merged = merge_diffs(diffs)
+        merged = merge_diffs(diffs, 256)
         via_merge = base.copy()
         apply_diff(merged, via_merge)
         via_seq = base.copy()
@@ -113,7 +113,7 @@ class TestMerge:
         base = unit_words([0] * 64)
         a = create_diff(0, base, np.arange(64, dtype=np.uint32))
         b = create_diff(0, np.arange(64, dtype=np.uint32), np.arange(1, 65, dtype=np.uint32))
-        m = merge_diffs([a, b])
+        m = merge_diffs([a, b], 64)
         assert m.nwords <= a.nwords + b.nwords
         assert m.wire_bytes <= a.wire_bytes + b.wire_bytes
 
@@ -122,17 +122,17 @@ class TestMerge:
         a = create_diff(0, base, unit_words([1]))
         b = create_diff(1, base, unit_words([1]))
         with pytest.raises(ValueError):
-            merge_diffs([a, b])
+            merge_diffs([a, b], 1)
 
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):
-            merge_diffs([])
+            merge_diffs([], 1)
 
     def test_merged_idx_sorted_unique(self):
         base = unit_words([0] * 8)
         d1 = create_diff(0, base, unit_words([1, 0, 1, 0, 0, 0, 0, 0]))
         d2 = create_diff(0, unit_words([1, 0, 1, 0, 0, 0, 0, 0]),
                          unit_words([2, 0, 1, 0, 0, 3, 0, 0]))
-        m = merge_diffs([d1, d2])
+        m = merge_diffs([d1, d2], 8)
         idx = list(m.idx)
         assert idx == sorted(set(idx))

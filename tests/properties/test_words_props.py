@@ -45,6 +45,8 @@ ops = st.lists(
                      unique=True),
             st.integers(0, 9),
         ),
+        st.tuples(st.just("mark_run"), st.integers(0, NWORDS - 1),
+                  st.integers(1, NWORDS), st.integers(0, 9)),
         st.tuples(st.just("read"), st.integers(0, NWORDS - 1),
                   st.integers(0, NWORDS)),
         st.tuples(st.just("write"), st.integers(0, NWORDS - 1),
@@ -54,16 +56,21 @@ ops = st.lists(
 )
 
 
-def run_both(sequence):
+def run_both(sequence, unit_words=0):
     credits = defaultdict(int)
     tracker = WordTracker(NWORDS, lambda m, c: credits.__setitem__(
-        m, credits[m] + c))
+        m, credits[m] + c), unit_words=unit_words)
     model = ModelTracker()
     for op in sequence:
         if op[0] == "mark":
             _, idx, msg = op
-            tracker.mark(np.array(idx, dtype=np.int64), msg)
+            tracker.mark(np.array(sorted(idx), dtype=np.int64), msg)
             model.mark(idx, msg)
+        elif op[0] == "mark_run":
+            _, w0, n, msg = op
+            n = min(n, NWORDS - w0)
+            tracker.mark_run(w0, n, msg)
+            model.mark(range(w0, w0 + n), msg)
         elif op[0] == "read":
             _, w0, n = op
             n = min(n, NWORDS - w0)
@@ -77,12 +84,23 @@ def run_both(sequence):
     return tracker, model, credits
 
 
-@given(ops)
+@given(ops, st.sampled_from([0, 16]))
 @settings(max_examples=150, deadline=None)
-def test_tracker_matches_reference_model(sequence):
-    tracker, model, credits = run_both(sequence)
+def test_tracker_matches_reference_model(sequence, unit_words):
+    """Message id 0 is in the strategy: the owner array stores
+    ``msg_id + 1`` so that 0 can mean "not pending"."""
+    tracker, model, credits = run_both(sequence, unit_words)
     assert dict(credits) == dict(model.credits)
     assert tracker.pending_count() == model.pending_count()
+    uw = unit_words or NWORDS
+    per_unit = [0] * (NWORDS // uw)
+    for w in model.owner:
+        per_unit[w // uw] += 1
+    assert tracker._unit_pending == per_unit
+    # Whatever is still pending is tagged with the right message.
+    tracker.on_read(0, NWORDS)
+    model.on_read(0, NWORDS)
+    assert dict(credits) == dict(model.credits)
 
 
 @given(st.lists(st.integers(0, NWORDS - 1), min_size=1, unique=True))
