@@ -24,7 +24,7 @@ the sequential reference, so the DSM run is bitwise comparable.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, List, Tuple
 
 import numpy as np
 
@@ -83,21 +83,14 @@ def _initial_bodies(n: int) -> np.ndarray:
 BUCKET = 8
 
 
-class _Node:
-    __slots__ = ("cx", "cy", "cz", "size", "bodies")
-
-    def __init__(self, cx: float, cy: float, cz: float, size: float) -> None:
-        self.cx, self.cy, self.cz, self.size = cx, cy, cz, size
-        self.bodies: List[int] = []  # leaf contents until split
-
-
 def build_tree(pos: np.ndarray, mass: np.ndarray) -> np.ndarray:
     """Build the Barnes-Hut octree over positions; returns the serialized
     cell array ((ncells, CELL_REC) float32).
 
-    Level-order vectorized construction, bit-identical to the sequential
-    per-body insertion of :func:`build_tree_ref` (asserted by the
-    property suite in ``tests/apps/test_vectorized_equiv.py``):
+    Level-order vectorized construction, bit-identical to sequential
+    per-body insertion (``build_tree_ref`` in
+    ``tests/apps/test_vectorized_equiv.py``, the property suite that
+    asserts it):
 
     * the tree *structure* is insertion-order independent -- a node is
       internal iff more than ``BUCKET`` bodies fall inside its box
@@ -250,116 +243,6 @@ def build_tree(pos: np.ndarray, mass: np.ndarray) -> np.ndarray:
     for _, gpart, mpart in int_parts:
         refs = np.where(mpart >= 0, order[np.maximum(mpart, 0)] + 1, 0)
         cells[order[gpart], 8:16] = refs.astype(np.float32)
-    return cells
-
-
-def build_tree_ref(pos: np.ndarray, mass: np.ndarray) -> np.ndarray:
-    """Sequential per-body-insertion reference builder; retained as the
-    differential oracle for the vectorized :func:`build_tree`."""
-    n = pos.shape[0]
-    lo = pos.min(axis=0)
-    hi = pos.max(axis=0)
-    center = (lo + hi) / 2.0
-    size = float((hi - lo).max()) * 1.001 + 1e-6
-
-    nodes: List[_Node] = [_Node(center[0], center[1], center[2], size)]
-    slots: List[Dict[int, int]] = [{}]  # node -> octant -> child node id
-
-    def octant(node: _Node, p) -> int:
-        return (
-            (1 if p[0] >= node.cx else 0)
-            | (2 if p[1] >= node.cy else 0)
-            | (4 if p[2] >= node.cz else 0)
-        )
-
-    def child_center(node: _Node, o: int) -> Tuple[float, float, float, float]:
-        q = node.size / 4.0
-        return (
-            node.cx + (q if o & 1 else -q),
-            node.cy + (q if o & 2 else -q),
-            node.cz + (q if o & 4 else -q),
-            node.size / 2.0,
-        )
-
-    def insert(nid: int, j: int) -> None:
-        while True:
-            node = nodes[nid]
-            if not slots[nid]:  # leaf
-                if len(node.bodies) < BUCKET:
-                    node.bodies.append(j)
-                    return
-                spill = node.bodies
-                node.bodies = []
-                for b in spill:
-                    _descend_new(nid, b)
-                # fall through: continue inserting j below
-            o = octant(node, pos[j])
-            if o not in slots[nid]:
-                cx, cy, cz, s = child_center(node, o)
-                nodes.append(_Node(cx, cy, cz, s))
-                slots.append({})
-                slots[nid][o] = len(nodes) - 1
-            nid = slots[nid][o]
-
-    def _descend_new(nid: int, j: int) -> None:
-        o = octant(nodes[nid], pos[j])
-        if o not in slots[nid]:
-            cx, cy, cz, s = child_center(nodes[nid], o)
-            nodes.append(_Node(cx, cy, cz, s))
-            slots.append({})
-            slots[nid][o] = len(nodes) - 1
-        insert(slots[nid][o], j)
-
-    for j in range(n):
-        insert(0, j)
-
-    # Serialize pre-order; compute centers of mass bottom-up via the
-    # serialization recursion.
-    cells = np.zeros((len(nodes), CELL_REC), dtype=np.float32)
-    order: Dict[int, int] = {}
-
-    def assign(nid: int) -> int:
-        cid = len(order)
-        order[nid] = cid
-        for o in sorted(slots[nid]):
-            assign(slots[nid][o])
-        return cid
-
-    import sys
-
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 10000))
-    try:
-        assign(0)
-
-        def fill(nid: int) -> Tuple[np.ndarray, np.float32]:
-            cid = order[nid]
-            node = nodes[nid]
-            com = np.zeros(3, dtype=np.float32)
-            m = np.float32(0.0)
-            ci = 0
-            for b in node.bodies:
-                cells[cid, 8 + ci] = np.float32(-(b + 1))
-                ci += 1
-                com = com + pos[b].astype(np.float32) * mass[b]
-                m = m + np.float32(mass[b])
-            for o in sorted(slots[nid]):
-                child = slots[nid][o]
-                ccom, cm = fill(child)
-                cells[cid, 8 + ci] = np.float32(order[child] + 1)
-                ci += 1
-                com = com + ccom * cm
-                m = m + cm
-            if m > 0:
-                com = (com / m).astype(np.float32)
-            cells[cid, 0:3] = com
-            cells[cid, 4] = np.float32(node.size)
-            cells[cid, 3] = m
-            return com, m
-
-        fill(0)
-    finally:
-        sys.setrecursionlimit(old_limit)
     return cells
 
 

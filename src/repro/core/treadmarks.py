@@ -98,7 +98,7 @@ class TreadMarks:
             self.network,
             self.stats,
             [self.engine.procs[pid].clock for pid in range(config.nprocs)],
-            self._credit,
+            self.network.credit,
         )
         for lp in self.procs:
             lp.trace = self.trace
@@ -151,7 +151,15 @@ class TreadMarks:
             return body
 
         fns = [make_body(pid) for pid in range(self.config.nprocs)]
-        self.engine.run(fns, self.sync.service)
+        try:
+            self.engine.run(fns, self.sync.service)
+        finally:
+            # Single use: cut the processors' back references so the
+            # finished run holds no reference cycle and is freed as soon
+            # as the caller drops it, not whenever the cyclic collector
+            # next runs.
+            for lp in self.procs:
+                lp.detach()
 
         checksum = returns[0]
         proc_times = [ctx.clock.now for ctx in self.engine.procs]
@@ -178,7 +186,3 @@ class TreadMarks:
         if self.faults is not None:
             result.extra.update(self.faults.summary())
         return result
-
-    # ------------------------------------------------------------------
-    def _credit(self, msg_id: int, nwords: int) -> None:
-        self.network.messages[msg_id].words_useful += nwords

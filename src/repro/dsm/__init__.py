@@ -7,8 +7,9 @@ Modules
 * :mod:`repro.dsm.vc` -- vector timestamps.
 * :mod:`repro.dsm.intervals` -- interval records and write notices (the
   LRC consistency bookkeeping).
-* :mod:`repro.dsm.diff` -- word-granularity diff creation / application
-  and wire-size modelling (run-length encoded, as in TreadMarks).
+* :mod:`repro.dsm.diff` -- word-granularity diff creation / application,
+  the packed per-interval diff record, and wire-size modelling
+  (run-length encoded, as in TreadMarks).
 * :mod:`repro.dsm.address_space` -- the paged shared address space with
   one private numpy-backed copy per processor.
 * :mod:`repro.dsm.sync` -- lock and barrier semantics, plugged into the

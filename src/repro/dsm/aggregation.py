@@ -30,6 +30,10 @@ class Aggregator:
     """Strategy interface consulted by :class:`LrcProc` on every shared
     access and at every synchronization point."""
 
+    proc: LrcProc
+    """The processor served (a back reference, cut by
+    :meth:`LrcProc.detach` when the run is over)."""
+
     def ensure_valid(self, word0: int, nwords: int) -> None:
         """Make every unit overlapped by the access valid, faulting and
         fetching as the strategy dictates."""

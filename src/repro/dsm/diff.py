@@ -5,7 +5,9 @@ interval; at the end of the interval the twin is compared word-by-word
 with the modified unit to produce a :class:`Diff` -- exactly the
 twin-and-diff scheme of Carter et al. used by TreadMarks.
 
-Diffs are stored as (word-index, word-value) numpy arrays.  The modelled
+A :class:`Diff` is a pair of (word-index, word-value) numpy arrays; an
+interval close records all its diffs packed (:class:`PackedDiffs`) and
+builds a :class:`Diff` only when one is requested.  The modelled
 wire size is run-length encoded, as in TreadMarks: each maximal run of
 consecutive modified words costs one (offset, length) header plus its
 data words.
@@ -63,6 +65,107 @@ def _wire_bytes(idx: np.ndarray) -> int:
     return DIFF_HEADER_BYTES + runs * RUN_HEADER_BYTES + n * WORD
 
 
+def _readonly(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+#: Process-wide, but every entry equals its index, so replacing it with
+#: a longer one changes no result any caller sees.
+_OFFSETS = _readonly(np.arange(4096, dtype=np.int32))
+
+
+def run_offsets(first: int, n: int) -> np.ndarray:
+    """The read-only int32 offsets ``first .. first + n - 1``: a slice
+    of one shared ``arange`` (grown on demand), so a single-run diff
+    decodes nothing."""
+    global _OFFSETS
+    if first + n > _OFFSETS.shape[0]:
+        _OFFSETS = _readonly(np.arange(2 * (first + n), dtype=np.int32))
+    return _OFFSETS[first : first + n]
+
+
+@dataclass(frozen=True, eq=False)
+class PackedDiffs:
+    """Every diff of one interval close, packed column-wise: no
+    :class:`Diff` exists until :meth:`diff_for` is asked for one (a
+    fetch, flush or push), as in TreadMarks, where a release only
+    queues write notices.  Built by :func:`pack_diffs`; every array is
+    read-only."""
+
+    units: np.ndarray
+    """The written units, int64, strictly ascending; row ``i`` is
+    ``units[i]``."""
+    bounds: np.ndarray
+    """int64, ``len(units) + 1``: row ``i``'s values are
+    ``values[bounds[i]:bounds[i + 1]]``."""
+    values: np.ndarray
+    """uint32, every row's changed words in ascending offset order."""
+    runs: np.ndarray
+    """Maximal runs of changed offsets per row (0 for an empty row)."""
+    first: np.ndarray
+    """First changed offset per row (0 for an empty row)."""
+    masks: np.ndarray
+    """``np.packbits`` of each row's change mask, uint8 (rows, bytes)."""
+    unit_words: int
+
+    def diff_for(self, unit: int) -> Diff:
+        """A fresh :class:`Diff` of ``unit`` (KeyError if not written).
+        A row of at most one run takes its offsets from
+        :func:`run_offsets`; any other row unpacks its mask."""
+        i = int(np.searchsorted(self.units, unit))
+        if i == self.units.shape[0] or int(self.units[i]) != unit:
+            raise KeyError(unit)
+        lo = int(self.bounds[i])
+        n = int(self.bounds[i + 1]) - lo
+        runs = int(self.runs[i])
+        if runs <= 1:
+            idx = run_offsets(int(self.first[i]), n)
+        else:
+            bits = np.unpackbits(self.masks[i], count=self.unit_words)
+            idx = _readonly(np.flatnonzero(bits).astype(np.int32))
+        return Diff(
+            unit=unit, idx=idx, values=self.values[lo : lo + n],
+            wire_bytes=DIFF_HEADER_BYTES + runs * RUN_HEADER_BYTES + n * WORD,
+            nwords=n,
+        )
+
+
+def pack_diffs(
+    units: np.ndarray, twins: np.ndarray, current: np.ndarray
+) -> PackedDiffs:
+    """Word-compare stacked twins with the stacked current contents of
+    ``units`` (ascending; row ``i`` of both matrices is ``units[i]``)
+    in a fixed number of whole-matrix numpy calls.
+
+    Identity with a per-row :func:`create_diff`: boolean-mask
+    compaction is row-major, so ``current[ne]`` holds each row's
+    changed words in ascending offset order, cut at the per-row
+    ``count_nonzero`` cumsum; a changed offset starts a run exactly when
+    it is offset 0 or its left neighbour is unchanged, so the
+    break-mask count is ``_wire_bytes``'s ``1 + count(diff(idx) != 1)``
+    (and 0 for an empty row); the packed mask is the offset list."""
+    ne = twins != current
+    # Free the twin gather (when the caller passed a temporary) before
+    # allocating the long-lived values: they then reuse its memory
+    # instead of sitting above this call's other temporaries, which
+    # would leave a hole in the heap at every close (peak RSS).
+    del twins
+    bounds = np.zeros(ne.shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.count_nonzero(ne, axis=1), out=bounds[1:])
+    # A run starts at a changed offset 0 or after an unchanged word.
+    runs = np.count_nonzero(ne[:, 1:] > ne[:, :-1], axis=1) + ne[:, 0]
+    return PackedDiffs(
+        units=_readonly(units.astype(np.int64)),
+        bounds=_readonly(bounds),
+        values=_readonly(current[ne]),
+        runs=_readonly(runs),
+        first=_readonly(ne.argmax(axis=1)),
+        masks=_readonly(np.packbits(ne, axis=1)),
+        unit_words=int(ne.shape[1]),
+    )
+
+
 def create_diff(unit: int, twin: np.ndarray, current: np.ndarray) -> Diff:
     """Compare a twin against the current unit contents.
 
@@ -113,10 +216,8 @@ def merge_diffs(diffs: "list[Diff]", unit_words: int) -> Diff:
     for d in diffs:
         scratch[d.idx] = d.values
         touched[d.idx] = True
-    idx = np.flatnonzero(touched).astype(np.int32)
-    values = scratch[idx]
-    idx.flags.writeable = False
-    values.flags.writeable = False
+    idx = _readonly(np.flatnonzero(touched).astype(np.int32))
+    values = _readonly(scratch[idx])
     return Diff(
         unit=unit, idx=idx, values=values, wire_bytes=_wire_bytes(idx),
         nwords=int(idx.shape[0]),
@@ -130,7 +231,7 @@ def whole_unit_diff(unit: int, words: np.ndarray) -> Diff:
     word-granularity diffs."""
     n = int(words.shape[0])
     return Diff(
-        unit=unit, idx=np.arange(n, dtype=np.int32), values=words,
+        unit=unit, idx=run_offsets(0, n), values=words,
         wire_bytes=ONE_RUN_BYTES + n * WORD, nwords=n,
     )
 

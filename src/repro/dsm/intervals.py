@@ -2,9 +2,11 @@
 
 An *interval* is the span of one processor's execution between two of its
 synchronization operations.  Closing an interval (at a release or barrier
-arrival) produces one :class:`Diff` per consistency unit the processor
-wrote, plus *write notices* -- (processor, interval, unit) triples that
-invalidate remote copies when they propagate at the next acquire.
+arrival) records the diffs of the units the processor wrote, packed
+(:class:`~repro.dsm.diff.PackedDiffs`; a :class:`Diff` is built only when
+one is requested), plus *write notices* -- (processor, interval, unit)
+triples that invalidate remote copies when they propagate at the next
+acquire.
 
 ``commit_seq`` is a global monotone counter assigned at close time.
 Because the scheduling engine services synchronization operations in
@@ -17,18 +19,22 @@ concurrent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Container, Dict, Iterable, Iterator, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Container, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.dsm.diff import Diff
+from repro.dsm.diff import Diff, PackedDiffs
 from repro.dsm.vc import VectorClock
 
-_EMPTY_UNITS = np.empty(0, dtype=np.int64)
+#: A pending write notice as the protocol stores it: the ``(proc,
+#: index, commit_seq)`` of the interval that wrote the unit.  One tuple
+#: per interval (:attr:`Interval.notice`), appended by reference to the
+#: pending list of every unit it invalidates.
+Notice = Tuple[int, int, int]
 
 
-@dataclass
+@dataclass(eq=False)
 class Interval:
     """One closed interval of one processor."""
 
@@ -39,26 +45,27 @@ class Interval:
     """The processor's vector clock when the interval closed."""
     commit_seq: int
     """Global close-order stamp; a linear extension of happens-before."""
-    diffs: Dict[int, Diff] = field(default_factory=dict)
-    """unit id -> diff for every unit written during the interval."""
-    units_arr: np.ndarray = field(default_factory=lambda: _EMPTY_UNITS)
-    """The written units as an int64 array in ``diffs`` insertion order,
-    precomputed at close time so notice application can index per-unit
-    metadata arrays in one vectorized step per interval."""
+    diffs: PackedDiffs
+    """The packed diff of every unit written during the interval."""
+    notice: Notice
+    """``(proc, index, commit_seq)``: the one notice object every
+    receiver's pending lists share."""
 
     @property
-    def units(self) -> Iterable[int]:
-        """The consistency units this interval wrote."""
-        return self.diffs.keys()
+    def units(self) -> np.ndarray:
+        """The written units, int64, ascending (read-only)."""
+        return self.diffs.units
 
     def diff_for(self, unit: int) -> Diff:
-        """The diff for ``unit``; KeyError if the interval did not write it."""
-        return self.diffs[unit]
+        """The diff for ``unit``, built on request; KeyError if the
+        interval did not write it."""
+        return self.diffs.diff_for(unit)
 
 
 @dataclass(frozen=True, slots=True)
 class WriteNotice:
-    """An invalidation token: interval (proc, index) wrote ``unit``."""
+    """A pending notice spelled out with its unit, as
+    :meth:`repro.dsm.lrc.LrcProc.pending_notices` reports it."""
 
     proc: int
     index: int
@@ -93,7 +100,7 @@ class IntervalStore:
         through :meth:`collect`, with the intervals they cover."""
 
     def close_interval(
-        self, proc: int, vc: VectorClock, diffs: Dict[int, Diff]
+        self, proc: int, vc: VectorClock, diffs: PackedDiffs
     ) -> Interval:
         """Record a newly closed interval; assigns its commit stamp.
 
@@ -105,16 +112,10 @@ class IntervalStore:
             raise ValueError(
                 f"proc {proc} closing interval {vc[proc]}, expected {expected}"
             )
-        self._commit_counter += 1
+        seq = self._commit_counter = self._commit_counter + 1
         interval = Interval(
-            proc=proc,
-            index=expected,
-            vc=vc.copy(),
-            commit_seq=self._commit_counter,
-            diffs=dict(diffs),
-            units_arr=np.asarray(list(diffs), dtype=np.int64)
-            if diffs
-            else _EMPTY_UNITS,
+            proc=proc, index=expected, vc=vc.copy(), commit_seq=seq,
+            diffs=diffs, notice=(proc, expected, seq),
         )
         self._by_proc[proc][expected] = interval
         self._closed_count[proc] = expected
@@ -168,17 +169,14 @@ class IntervalStore:
         intervals reclaimed.
         """
         dropped = 0
-        reclaimed: List[Dict[int, Interval]] = []
+        # Per processor: reclaimed interval index -> the units it wrote.
+        reclaimed: List[Dict[int, Container[int]]] = []
         for p in range(self.nprocs):
             live = self._by_proc[p]
-            dead = {
-                i: live[i]
-                for i in live
-                if i <= known_vc[p] and (p, i) not in referenced
-            }
-            for i in dead:
-                del live[i]
-            reclaimed.append(dead)
+            dead = [
+                i for i in live if i <= known_vc[p] and (p, i) not in referenced
+            ]
+            reclaimed.append({i: set(live.pop(i).units.tolist()) for i in dead})
             dropped += len(dead)
         self.collected += dropped
         if dropped:
@@ -191,21 +189,10 @@ class IntervalStore:
                 (p, unit, first, last)
                 for p, unit, first, last in cache
                 if any(
-                    i in reclaimed[p] and unit in reclaimed[p][i].diffs
+                    unit in reclaimed[p].get(i, ())
                     for i in range(first, last + 1)
                 )
             ]
             for key in stale:
                 del cache[key]
         return dropped
-
-    def notices_between(
-        self, old_vc: VectorClock, new_vc: VectorClock
-    ) -> Iterator[Tuple[Interval, int]]:
-        """(interval, unit) pairs for every write covered by ``new_vc``
-        but not by ``old_vc`` -- the write notices that must be applied
-        when a processor's knowledge advances from old to new."""
-        for proc in range(self.nprocs):
-            for interval in self.intervals_between(proc, old_vc[proc], new_vc[proc]):
-                for unit in interval.units:
-                    yield interval, unit

@@ -28,30 +28,17 @@ an aggregation strategy from :mod:`repro.dsm.aggregation`.
 
 from __future__ import annotations
 
-from operator import attrgetter
 from typing import (
-    TYPE_CHECKING,
-    Callable,
-    Dict,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
+    TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence, Tuple,
 )
 
 import numpy as np
 
 from repro.dsm.address_space import AddressSpace, SharedHeapLayout
 from repro.dsm.diff import (
-    ONE_RUN_BYTES,
-    WORD,
-    Diff,
-    _wire_bytes,
-    create_diff,
-    merge_diffs,
+    ONE_RUN_BYTES, WORD, Diff, PackedDiffs, merge_diffs, pack_diffs,
 )
-from repro.dsm.intervals import IntervalStore, WriteNotice
+from repro.dsm.intervals import IntervalStore, Notice, WriteNotice
 from repro.dsm.vc import VectorClock
 from repro.sim.clock import Clock
 from repro.sim.config import SimConfig
@@ -68,8 +55,17 @@ REQUEST_BASE_BYTES = 8
 REQUEST_ENTRY_BYTES = 12
 
 
+def _commit_seq(entry: Tuple[Notice, int]) -> int:
+    """Sort key of a ``(notice, unit)`` pair in :meth:`LrcProc.fetch`."""
+    return entry[0][2]
+
+
 class LrcProc:
     """Consistency state and protocol actions of one processor."""
+
+    peers: Sequence["LrcProc"] = ()
+    """All processors of the run (index == pid), for protocols that act
+    on their peers' copies; wired by the protocol's build hook."""
 
     def __init__(
         self,
@@ -94,7 +90,10 @@ class LrcProc:
             layout.nwords, credit, unit_words=layout.words_per_unit
         )
         self.vc = VectorClock(config.nprocs)
-        self.pending: Dict[int, List[WriteNotice]] = {}
+        self.pending: Dict[int, List[Notice]] = {}
+        """unit -> its pending notices in arrival order: the writing
+        intervals' shared :attr:`~repro.dsm.intervals.Interval.notice`
+        tuples, appended by reference (no per-notice object)."""
         self.pending_n = np.zeros(layout.nunits, dtype=np.int32)
         """``len(self.pending[unit])`` per unit.  The notice lists are
         what a fetch consumes; every *emptiness* question (aggregator
@@ -125,7 +124,7 @@ class LrcProc:
         arrival (models the arrival-message payload)."""
         self.aggregator: Aggregator
         """Wired by the runtime once the processor exists (the strategy
-        holds a back reference)."""
+        holds a back reference until :meth:`detach`)."""
         self.trace: Optional[TraceRecorder] = None
         """Attached by the runtime when tracing.  All hooks below are
         observer-only: they never advance the clock or touch protocol
@@ -401,74 +400,56 @@ class LrcProc:
 
     def close_interval(self) -> None:
         """End the current interval (called at every synchronization
-        operation, on the processor's own thread): record per-unit diffs
-        and publish the interval's write notices.
+        operation, on the processor's own thread): record the packed
+        diffs of the twinned units and publish the interval's write
+        notices.
 
-        The simulator materializes the diff data here so a later fetch
-        can be served from any point in the run, but the *cost* of diff
-        creation is charged lazily at fetch time (see :meth:`fetch`), as
-        in TreadMarks, where a release only queues write notices and the
-        word-compare scan happens when a diff is first requested."""
+        The simulator records the diff data here so a later fetch can be
+        served from any point in the run, but builds a :class:`Diff`
+        object, and charges diff creation, only when one is requested
+        (see :meth:`fetch`), as in TreadMarks, where a release only
+        queues write notices and the word-compare scan happens when a
+        diff is first requested."""
         if not self._twin_count:
             return
         diffs = self._interval_diffs()
+        n = int(diffs.units.shape[0])
         self.vc.tick(self.pid)
         self.store.close_interval(self.pid, self.vc, diffs)
         self.stats.intervals_closed += 1
-        self.stats.write_notices_sent += len(diffs)
-        self.unsent_notices += len(diffs)
+        self.stats.write_notices_sent += n
+        self.unsent_notices += n
         self.twinned[:] = False
         self._twin_count = 0
 
-    def _interval_diffs(self) -> Dict[int, Diff]:
-        """Word-compare every twinned unit against current memory;
-        bit-identical to :meth:`_interval_diffs_ref`, the per-unit
-        ``create_diff`` loop, which is also the small-interval branch.
-
-        The one selection is on size: with few twinned units the
-        per-unit view loop touches no memory beyond the changed words,
-        while the row kernel first copies every twin and current unit
-        into stacked matrices -- batching only pays once numpy's
-        per-call overhead amortizes over many units (DESIGN.md §12 has
-        the committed traffic on both sides of the threshold).
-
-        Identity argument for the row kernel: ``np.flatnonzero`` over
-        the twinned bitmap is the reference's ascending unit order, and
-        row ``i`` of the inequality matrix is the reference's
-        ``twin != current`` for unit ``units[i]``, from which both build
-        the same offsets, values and wire size.
-        """
-        if self._twin_count <= 64:
-            return self._interval_diffs_ref()
+    def _interval_diffs(self) -> PackedDiffs:
+        """Word-compare every twinned unit against current memory: one
+        gather of the current units, one of their twins, and
+        :func:`~repro.dsm.diff.pack_diffs` over the two matrices -- a
+        fixed number of numpy calls however many units were written.
+        ``np.flatnonzero`` over the twinned bitmap is the ascending unit
+        order every consumer of the record expects."""
         units = np.flatnonzero(self.twinned)
-        cur2d = self.space.words.reshape(-1, self._wpu)[units]
-        ne = self._twin_pool[self._twin_slot[units]] != cur2d
-        diffs: Dict[int, Diff] = {}
-        for i, unit in enumerate(units.tolist()):
-            idx = np.flatnonzero(ne[i])
-            idx32 = idx.astype(np.int32)
-            diffs[unit] = Diff(
-                unit=unit,
-                idx=idx32,
-                values=cur2d[i, idx],
-                wire_bytes=_wire_bytes(idx32),
-                nwords=int(idx.shape[0]),
-            )
-        return diffs
-
-    def _interval_diffs_ref(self) -> Dict[int, Diff]:
-        """Reference diff creation: one :func:`create_diff` per twinned
-        unit in ascending order."""
-        return {
-            unit: create_diff(unit, self.twin(unit), self.space.unit_view(unit))
-            for unit in np.flatnonzero(self.twinned).tolist()
-        }
+        return pack_diffs(
+            units,
+            self._twin_pool[self._twin_slot[units]],
+            self.space.words.reshape(-1, self._wpu)[units],
+        )
 
     def at_sync_point(self) -> None:
         """Hook run on the processor's own thread immediately before it
         parks at any synchronization operation."""
         self.close_interval()
         self.aggregator.on_sync()
+
+    def detach(self) -> None:
+        """Cut the references that lead from this processor's parts back
+        into its run -- the aggregator's ``proc`` and the peer list --
+        once the run is over.  A finished run then holds no reference
+        cycle and is freed by reference counting; its state stays
+        readable."""
+        del self.aggregator.proc
+        self.peers = ()
 
     # ------------------------------------------------------------------
     # Invalidation (runs on the scheduler thread while parked)
@@ -491,12 +472,10 @@ class LrcProc:
             ):
                 if interval.proc == self.pid:
                     raise AssertionError("received a notice for own interval")
-                n += interval.units_arr.shape[0]
-                units = self._invalidated_units(interval.units_arr)
+                n += interval.units.shape[0]
+                units = self._invalidated_units(interval.units)
                 if units.shape[0]:
-                    newly_invalid += self._add_notices(
-                        units, interval.proc, interval.index, interval.commit_seq
-                    )
+                    newly_invalid += self._add_notices(units, interval.notice)
         self.vc.join(new_vc)
         cost = newly_invalid * self.config.mprotect_us
         self.stats.mprotects += newly_invalid
@@ -512,33 +491,30 @@ class LrcProc:
     # Pending write notices: the only code that mutates ``pending`` and
     # ``pending_n``
     # ------------------------------------------------------------------
-    def _add_notices(
-        self, units: np.ndarray, proc: int, index: int, commit_seq: int
-    ) -> int:
-        """Append the write notice of interval ``(proc, index)`` to each
-        of ``units`` (distinct) and invalidate them; returns how many
-        were valid until now.
+    def _add_notices(self, units: np.ndarray, notice: Notice) -> int:
+        """Append ``notice`` -- the shared ``(proc, index, commit_seq)``
+        of the interval that wrote them -- to each of ``units``
+        (distinct) and invalidate them; returns how many were valid
+        until now.
 
         The per-unit side effects are batched: the units are distinct,
         so testing ``pending_n == 0`` before the increments is exactly
-        the per-notice emptiness check, and clearing twin persistence /
-        access validity is idempotent.  The :class:`WriteNotice` objects
-        are still appended one by one because :meth:`fetch` consumes
-        them as ordered per-unit lists."""
+        the per-notice emptiness check (``pending_n == 0`` exactly when
+        the unit has no list yet), and clearing twin persistence /
+        access validity is idempotent.  What remains per unit is one
+        list append of the shared tuple, because :meth:`fetch` consumes
+        notices as ordered per-unit lists."""
         pending_n = self.pending_n
-        newly_invalid = int((pending_n[units] == 0).sum())
+        fresh = pending_n[units] == 0
         pending_n[units] += 1
         self._twin_persist[units] = False
         self.aggregator.on_invalidate(units)
         pending = self.pending
-        for unit in units.tolist():
-            lst = pending.get(unit)
-            if lst is None:
-                lst = pending[unit] = []
-            lst.append(
-                WriteNotice(proc=proc, index=index, unit=unit, commit_seq=commit_seq)
-            )
-        return newly_invalid
+        for unit in units[~fresh].tolist():
+            pending[unit].append(notice)
+        for unit in units[fresh].tolist():
+            pending[unit] = [notice]
+        return int(np.count_nonzero(fresh))
 
     def _clear_notices(self, units: Sequence[int]) -> None:
         """Drop every pending notice of ``units`` (their data is now
@@ -548,12 +524,14 @@ class LrcProc:
             self.pending_n[unit] = 0
 
     def pending_notices(self) -> Iterator[WriteNotice]:
-        """Every pending notice, by ascending unit and in arrival order
-        within a unit -- what the barrier GC must keep reachable and
-        what the model checker hashes."""
+        """Every pending notice as a :class:`WriteNotice`, by ascending
+        unit and in arrival order within a unit -- what the model
+        checker hashes (built here, on request: the protocol itself
+        keeps only the shared tuples)."""
         pending = self.pending
         for unit in sorted(pending):
-            yield from pending[unit]
+            for proc, index, commit_seq in pending[unit]:
+                yield WriteNotice(proc, index, unit, commit_seq)
 
     # ------------------------------------------------------------------
     # Fault service
@@ -568,18 +546,6 @@ class LrcProc:
         maximum (not the sum) of the per-writer response times --- the
         aggregation advantage of Sections 3 and 4.
         """
-        pending_get = self.pending.get
-        by_writer: Dict[int, List[WriteNotice]] = {}
-        for unit in units:
-            for notice in pending_get(unit, ()):
-                by_writer.setdefault(notice.proc, []).append(notice)
-        if not by_writer:
-            raise AssertionError(f"fetch with nothing pending: units={units}")
-
-        config = self.config
-        now = self.clock.now
-        fault_id = len(self.stats.fault_records)
-
         # Coalesce each writer's diffs as TreadMarks' lazy diffing would:
         # group the globally commit-ordered notices into maximal runs of
         # consecutive (writer, unit) entries and merge each run into one
@@ -588,16 +554,28 @@ class LrcProc:
         # happens-before even when another writer's interval falls
         # between two intervals of the same writer (migratory data under
         # locks), where merging across would resurrect stale words.
-        all_notices = sorted(
-            (nt for lst in by_writer.values() for nt in lst),
-            key=attrgetter("commit_seq"),
+        # Equal stamps mean one interval (hence one writer), so the
+        # stable sort leaves such ties in arrival order.
+        pending_get = self.pending.get
+        notices = sorted(
+            ((nt, unit) for unit in units for nt in pending_get(unit, ())),
+            key=_commit_seq,
         )
-        runs: List[List[WriteNotice]] = []
-        for nt in all_notices:
-            if runs and runs[-1][-1].proc == nt.proc and runs[-1][-1].unit == nt.unit:
-                runs[-1].append(nt)
+        if not notices:
+            raise AssertionError(f"fetch with nothing pending: units={units}")
+        # (writer, unit, [interval indices]) per run; notices per writer.
+        runs: List[Tuple[int, int, List[int]]] = []
+        by_writer: Dict[int, int] = {}
+        for (writer, index, _), unit in notices:
+            by_writer[writer] = by_writer.get(writer, 0) + 1
+            if runs and runs[-1][0] == writer and runs[-1][1] == unit:
+                runs[-1][2].append(index)
             else:
-                runs.append([nt])
+                runs.append((writer, unit, [index]))
+
+        config = self.config
+        now = self.clock.now
+        fault_id = len(self.stats.fault_records)
 
         # Beside each run, in global commit order: its coalesced diff
         # and (filled in by the exchange that carries it) the id of the
@@ -610,28 +588,24 @@ class LrcProc:
         span_cache = self.store.diff_scan_cache
         unit_scan_us = self.layout.unit_bytes * config.diff_create_byte_us
         wpu = self._wpu
-        for position, run in enumerate(runs):
-            first = run[0]
+        for position, (writer, unit, indices) in enumerate(runs):
             # Lazy diffing: the writer scans the unit when a span is
             # first requested (the cost sits on the response path) and
             # caches the result; later requests for the same span are
             # served the cached diff.
-            key = (first.proc, first.unit, first.index, run[-1].index)
+            key = (writer, unit, indices[0], indices[-1])
             d = span_cache.get(key)
             if d is None:
                 d = span_cache[key] = merge_diffs(
-                    [store_get(nt.proc, nt.index).diff_for(nt.unit) for nt in run],
-                    wpu,
+                    [store_get(writer, i).diff_for(unit) for i in indices], wpu
                 )
-                writer_diff_cost[first.proc] += unit_scan_us
+                writer_diff_cost[writer] += unit_scan_us
                 self.stats.diffs_created += 1
                 self.stats.diff_words_created += d.nwords
                 if self.trace is not None:
-                    self.trace.on_diff_create(
-                        first.proc, self.pid, now, first.unit, d.nwords
-                    )
+                    self.trace.on_diff_create(writer, self.pid, now, unit, d.nwords)
             run_diff.append(d)
-            writer_runs[first.proc].append(position)
+            writer_runs[writer].append(position)
 
         # Build the exchanges: normally one per writer carrying all that
         # writer's runs; with combine_requests disabled (ablation), one
@@ -641,11 +615,11 @@ class LrcProc:
         if config.combine_requests:
             for writer in sorted(by_writer):
                 exchange_plans.append(
-                    (writer, writer_runs[writer], len(by_writer[writer]))
+                    (writer, writer_runs[writer], by_writer[writer])
                 )
         else:
             for position, run in enumerate(runs):
-                exchange_plans.append((run[0].proc, [position], 1))
+                exchange_plans.append((run[0], [position], 1))
 
         stall = 0.0
         exchange_ids: List[int] = []
@@ -710,7 +684,7 @@ class LrcProc:
                     pages = tuple(int(p) for p in pg)
                     page_words = tuple(int(c) for c in cnt)
                 self.trace.on_diff_apply(
-                    self.pid, now, d.unit, run[0].proc, d.nwords, msg_id,
+                    self.pid, now, d.unit, run[0], d.nwords, msg_id,
                     pages, page_words,
                 )
 

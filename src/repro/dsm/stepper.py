@@ -120,7 +120,7 @@ class SteppedSystem:
             self.network,
             self.stats,
             self.clocks,
-            self._credit,
+            self.network.credit,
         )
         for lp in self.procs:
             lp.trace = None
@@ -130,9 +130,6 @@ class SteppedSystem:
         )
         self.cursors = [ProcCursor() for _ in range(nprocs)]
         self._seq = 0
-
-    def _credit(self, msg_id: int, nwords: int) -> None:
-        self.network.messages[msg_id].words_useful += nwords
 
     # ------------------------------------------------------------------
     # Scheduling surface
@@ -269,13 +266,12 @@ class SteppedSystem:
             ivs = []
             for index in sorted(self.store._by_proc[p]):
                 iv = self.store._by_proc[p][index]
+                # The packed record as stored: units, row bounds, values
+                # and change masks determine every diff's offsets and
+                # values, so equal bytes mean equal diffs.
+                d = iv.diffs
                 diffs = tuple(
-                    (
-                        unit,
-                        iv.diffs[unit].idx.tobytes(),
-                        iv.diffs[unit].values.tobytes(),
-                    )
-                    for unit in sorted(iv.diffs)
+                    a.tobytes() for a in (d.units, d.bounds, d.values, d.masks)
                 )
                 ivs.append(
                     (iv.index, iv.commit_seq, tuple(iv.vc.entries), diffs)

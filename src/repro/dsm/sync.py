@@ -23,8 +23,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.dsm.intervals import Notice
 from repro.dsm.lrc import LrcProc
 from repro.dsm.vc import VectorClock
 from repro.sim.config import SimConfig
@@ -257,10 +258,15 @@ class SyncManager:
             and self._store is not None
             and self._store.count() > self.config.gc_threshold
         ):
+            # Pending lists hold each interval's one shared notice tuple:
+            # dedup the tuples themselves, then name their intervals.
+            notices: Set[Notice] = set()
+            for lp in self.procs:
+                for pending in lp.pending.values():
+                    notices.update(pending)
             referenced = {
-                (nt.proc, nt.index)
-                for lp in self.procs
-                for nt in lp.pending_notices()
+                (p, i)
+                for p, i, _ in notices  # detlint: ok(set-iter) -- into a set
             }
             self._store.collect(merged, referenced)
         return resumes

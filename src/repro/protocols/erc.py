@@ -30,8 +30,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, NoReturn, Sequence
 
-import numpy as np
-
 from repro.dsm.diff import apply_diff
 from repro.dsm.lrc import LrcProc
 from repro.protocols.base import CreditFn, ProtocolInfo, register
@@ -58,9 +56,9 @@ class EagerRcProc(LrcProc):
     def close_interval(self) -> None:
         if not self._twin_count:
             return
-        units = np.flatnonzero(self.twinned).tolist()
         super().close_interval()
         interval = self.store.get(self.pid, self.vc[self.pid])
+        units = interval.units.tolist()
         now = self.clock.now
         cost = 0.0
         diffs = []

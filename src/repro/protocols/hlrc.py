@@ -62,9 +62,9 @@ class HomeLrcProc(LrcProc):
     def close_interval(self) -> None:
         if not self._twin_count:
             return
-        units = np.flatnonzero(self.twinned).tolist()
         super().close_interval()
         interval = self.store.get(self.pid, self.vc[self.pid])
+        units = interval.units.tolist()
         now = self.clock.now
         cost = 0.0
         for unit in units:
@@ -121,7 +121,7 @@ class HomeLrcProc(LrcProc):
     def fetch(self, units: Sequence[int]) -> None:
         by_home: Dict[int, List[int]] = {}
         for unit in units:
-            if self.pending.get(unit):
+            if self.pending_n[unit]:
                 by_home.setdefault(self.home(unit), []).append(unit)
         if not by_home:
             raise AssertionError(f"fetch with nothing pending: units={units}")

@@ -62,9 +62,9 @@ INVALIDATE_BYTES = 12
 INVALIDATE_ACK_BYTES = 8
 
 
-#: The ``(proc, index, commit_seq)`` of the pending-list marker for an
-#: invalidated unit.  SWI has no intervals, so the fields are dummies:
-#: only the list's truthiness (tested by the aggregators and
+#: The ``(proc, index, commit_seq)`` notice that marks an invalidated
+#: unit pending.  SWI has no intervals, so the fields are dummies: only
+#: the unit's nonzero ``pending_n`` (tested by the aggregators and
 #: :meth:`SwiProc.fetch`) matters.  ``proc=-1`` can never collide with a
 #: real interval in the barrier GC's referenced-set bookkeeping.
 _SENTINEL = (-1, 0, 0)
@@ -159,7 +159,7 @@ class SwiProc(LrcProc):
             )
             peer = self.peers[peer_pid]
             if not peer.pending_n[unit]:
-                peer._add_notices(np.array([unit]), *_SENTINEL)
+                peer._add_notices(np.array([unit]), _SENTINEL)
                 self.stats.mprotects += 1  # the holder protects its copy
             self.stats.invalidations += 1
         if sharers:
@@ -182,7 +182,7 @@ class SwiProc(LrcProc):
     def fetch(self, units: Sequence[int]) -> None:
         by_owner: Dict[int, List[int]] = {}
         for unit in units:
-            if self.pending.get(unit):
+            if self.pending_n[unit]:
                 owner = self.directory.owner[unit]
                 if owner < 0 or owner == self.pid:
                     raise AssertionError(

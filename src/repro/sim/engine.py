@@ -288,13 +288,17 @@ class Engine:
         self.park(ctx, OpKind.FINISH)
 
     def _teardown(self) -> None:
-        """Unblock any still-parked threads so they can unwind."""
+        """Unblock any still-parked threads so they can unwind, then cut
+        the references back to the spent engine (contexts, handler) so
+        the finished run is freed by reference counting."""
         self._aborting = True
         for ctx in self.procs:
             ctx._event.set()
         for ctx in self.procs:
             if ctx._thread is not None:
                 ctx._thread.join(timeout=5.0)
+            del ctx.engine
+        self._handler = None
         self._aborting = False
 
     # ------------------------------------------------------------------

@@ -207,6 +207,11 @@ class Network:
     # ------------------------------------------------------------------
     # Recording
     # ------------------------------------------------------------------
+    def credit(self, msg_id: int, nwords: int) -> None:
+        """Count ``nwords`` of message ``msg_id`` as useful: the
+        word-usefulness callback every processor's tracker is handed."""
+        self.messages[msg_id].words_useful += nwords
+
     def record(
         self,
         src: int,

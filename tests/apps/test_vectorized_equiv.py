@@ -1,18 +1,18 @@
 """Differential property suite for the vectorized kernels (PR 9).
 
-Every vectorized hot path keeps its scalar predecessor in-tree as the
+Every vectorized hot path is held to its scalar predecessor as the
 oracle; this suite drives randomized inputs through both and asserts
 *bit-identity* (``np.array_equal``, never ``allclose``):
 
-* ``barnes.build_tree``            vs ``barnes.build_tree_ref``
+* ``barnes.build_tree``            vs ``build_tree_ref`` (below)
 * ``barnes.batched_forces_soa``    vs ``barnes.batched_forces`` (AoS)
-* ``LrcProc._interval_diffs``      vs ``LrcProc._interval_diffs_ref``
-  (in situ, on real twin-pool state, on both sides of the size
-  threshold -- the reference branch and the row kernel, the latter on
-  dense and on sparse pages), plus the RLE wire-size and round-trip
-  invariants of each produced diff
+* ``LrcProc._interval_diffs`` (the packed record) vs a per-unit
+  ``create_diff`` loop (in situ, on real twin-pool state, on small and
+  large intervals, dense and sparse pages), plus the RLE wire-size and
+  round-trip invariants of each diff the record builds
 * the batched write-notice application's ``pending_n`` counter array
-  vs the per-unit ``pending`` lists it summarizes
+  vs the per-unit ``pending`` lists it summarizes, whose entries are the
+  writing intervals' shared notice tuples
 * random gather/scatter programs under ``access_mode='bulk'`` vs the
   range-decomposed ``'scalar'`` mode, over every protocol, static and
   dynamic units, and raw ranges that straddle units, span more than two,
@@ -20,26 +20,145 @@ oracle; this suite drives randomized inputs through both and asserts
 """
 
 import dataclasses
+import sys
+from typing import Dict, List, Tuple
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps.barnes import (
+    BUCKET,
+    CELL_REC,
     _soa_noop,
     batched_forces,
     batched_forces_soa,
     build_tree,
-    build_tree_ref,
 )
 from repro.core import SimConfig, TreadMarks
 from repro.dsm.address_space import AddressSpace
-from repro.dsm.diff import _wire_bytes, apply_diff
+from repro.dsm.diff import _wire_bytes, apply_diff, create_diff
 from repro.dsm.lrc import LrcProc
 
 # ----------------------------------------------------------------------
 # Barnes tree construction and force kernels
 # ----------------------------------------------------------------------
+
+
+class _Node:
+    __slots__ = ("cx", "cy", "cz", "size", "bodies")
+
+    def __init__(self, cx: float, cy: float, cz: float, size: float) -> None:
+        self.cx, self.cy, self.cz, self.size = cx, cy, cz, size
+        self.bodies: List[int] = []  # leaf contents until split
+
+
+def build_tree_ref(pos: np.ndarray, mass: np.ndarray) -> np.ndarray:
+    """Sequential per-body-insertion tree construction: the differential
+    oracle for the vectorized ``barnes.build_tree``."""
+    n = pos.shape[0]
+    lo = pos.min(axis=0)
+    hi = pos.max(axis=0)
+    center = (lo + hi) / 2.0
+    size = float((hi - lo).max()) * 1.001 + 1e-6
+
+    nodes: List[_Node] = [_Node(center[0], center[1], center[2], size)]
+    slots: List[Dict[int, int]] = [{}]  # node -> octant -> child node id
+
+    def octant(node: _Node, p) -> int:
+        return (
+            (1 if p[0] >= node.cx else 0)
+            | (2 if p[1] >= node.cy else 0)
+            | (4 if p[2] >= node.cz else 0)
+        )
+
+    def child_center(node: _Node, o: int) -> Tuple[float, float, float, float]:
+        q = node.size / 4.0
+        return (
+            node.cx + (q if o & 1 else -q),
+            node.cy + (q if o & 2 else -q),
+            node.cz + (q if o & 4 else -q),
+            node.size / 2.0,
+        )
+
+    def insert(nid: int, j: int) -> None:
+        while True:
+            node = nodes[nid]
+            if not slots[nid]:  # leaf
+                if len(node.bodies) < BUCKET:
+                    node.bodies.append(j)
+                    return
+                spill = node.bodies
+                node.bodies = []
+                for b in spill:
+                    _descend_new(nid, b)
+                # fall through: continue inserting j below
+            o = octant(node, pos[j])
+            if o not in slots[nid]:
+                cx, cy, cz, s = child_center(node, o)
+                nodes.append(_Node(cx, cy, cz, s))
+                slots.append({})
+                slots[nid][o] = len(nodes) - 1
+            nid = slots[nid][o]
+
+    def _descend_new(nid: int, j: int) -> None:
+        o = octant(nodes[nid], pos[j])
+        if o not in slots[nid]:
+            cx, cy, cz, s = child_center(nodes[nid], o)
+            nodes.append(_Node(cx, cy, cz, s))
+            slots.append({})
+            slots[nid][o] = len(nodes) - 1
+        insert(slots[nid][o], j)
+
+    for j in range(n):
+        insert(0, j)
+
+    # Serialize pre-order; compute centers of mass bottom-up via the
+    # serialization recursion.
+    cells = np.zeros((len(nodes), CELL_REC), dtype=np.float32)
+    order: Dict[int, int] = {}
+
+    def assign(nid: int) -> int:
+        cid = len(order)
+        order[nid] = cid
+        for o in sorted(slots[nid]):
+            assign(slots[nid][o])
+        return cid
+
+    old_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(old_limit, 10000))
+    try:
+        assign(0)
+
+        def fill(nid: int) -> Tuple[np.ndarray, np.float32]:
+            cid = order[nid]
+            node = nodes[nid]
+            com = np.zeros(3, dtype=np.float32)
+            m = np.float32(0.0)
+            ci = 0
+            for b in node.bodies:
+                cells[cid, 8 + ci] = np.float32(-(b + 1))
+                ci += 1
+                com = com + pos[b].astype(np.float32) * mass[b]
+                m = m + np.float32(mass[b])
+            for o in sorted(slots[nid]):
+                child = slots[nid][o]
+                ccom, cm = fill(child)
+                cells[cid, 8 + ci] = np.float32(order[child] + 1)
+                ci += 1
+                com = com + ccom * cm
+                m = m + cm
+            if m > 0:
+                com = (com / m).astype(np.float32)
+            cells[cid, 0:3] = com
+            cells[cid, 4] = np.float32(node.size)
+            cells[cid, 3] = m
+            return com, m
+
+        fill(0)
+    finally:
+        sys.setrecursionlimit(old_limit)
+    return cells
 
 
 @st.composite
@@ -124,17 +243,16 @@ def test_batched_forces_soa_matches_aos(cloud, stride):
 # ----------------------------------------------------------------------
 
 WPU = 1024  # words per 4 KB page
-NPAGES = 210  # every proc owns > 64 pages: intervals can exceed the
-# size threshold of the row diff kernel
+NPAGES = 210  # every proc owns > 64 pages: intervals of ~100 units
 
 
 @st.composite
 def write_programs(draw):
     """Barrier-phased programs where each processor writes only pages it
     owns (page p belongs to proc p % nprocs -- no races), with rounds
-    drawn to exercise both ``_interval_diffs`` branches: few pages
-    (reference path) and more than 64 pages (row kernel), the latter
-    nearly full (dense) or touched a few words each (sparse)."""
+    drawn to close small intervals (a few pages) and large ones (more
+    than 64 pages), the latter nearly full (dense) or touched a few
+    words each (sparse)."""
     nprocs = draw(st.integers(2, 3))
     nrounds = draw(st.integers(1, 3))
     rounds = []
@@ -185,20 +303,22 @@ def _run_program(nprocs, rounds, **cfg_kwargs):
 @given(write_programs())
 @settings(max_examples=8, deadline=None)
 def test_interval_diffs_match_reference_in_situ(program):
-    """Patch ``_interval_diffs`` to diff itself against the reference on
-    every real interval close, including the RLE invariants: the wire
-    size matches ``diff._wire_bytes`` and applying the diff to the twin
-    reconstructs current memory."""
+    """Patch ``_interval_diffs`` to check its packed record against the
+    per-unit ``create_diff`` loop on every real interval close,
+    including the RLE invariants: the wire size matches
+    ``diff._wire_bytes`` and applying the diff to the twin reconstructs
+    current memory."""
     nprocs, rounds = program
     orig = LrcProc._interval_diffs
     closes = []
 
     def checked(self):
-        vec = orig(self)
-        ref = self._interval_diffs_ref()
-        assert sorted(vec) == sorted(ref)
-        for unit, d in vec.items():
-            r = ref[unit]
+        packed = orig(self)
+        units = np.flatnonzero(self.twinned).tolist()
+        assert packed.units.tolist() == units
+        for unit in units:
+            d = packed.diff_for(unit)
+            r = create_diff(unit, self.twin(unit), self.space.unit_view(unit))
             assert np.array_equal(d.idx, r.idx)
             assert d.idx.dtype == r.idx.dtype
             assert np.array_equal(d.values, r.values)
@@ -207,8 +327,8 @@ def test_interval_diffs_match_reference_in_situ(program):
             twin = self.twin(unit).copy()
             apply_diff(d, twin)
             assert np.array_equal(twin, self.space.unit_view(unit))
-        closes.append(len(vec))
-        return vec
+        closes.append(len(units))
+        return packed
 
     LrcProc._interval_diffs = checked
     try:
@@ -223,7 +343,8 @@ def test_interval_diffs_match_reference_in_situ(program):
 def test_pending_n_matches_pending_lists(program):
     """After every batched notice application the ``pending_n`` counter
     array must equal the lengths of the per-unit notice lists it
-    summarizes (the fetch path trusts the array to find cold units)."""
+    summarizes (the fetch path trusts the array to find cold units), and
+    every listed notice is its interval's one shared tuple."""
     nprocs, rounds = program
     orig = LrcProc.apply_notices_upto
     calls = []
@@ -232,6 +353,8 @@ def test_pending_n_matches_pending_lists(program):
         out = orig(self, new_vc)
         for unit, lst in self.pending.items():
             assert self.pending_n[unit] == len(lst), unit
+            for nt in lst:
+                assert nt is self.store.get(nt[0], nt[1]).notice
         calls.append(1)
         return out
 

@@ -1,9 +1,16 @@
 """TreadMarks runtime wiring."""
 
+import gc
+
 import numpy as np
 import pytest
 
+from repro.bench.harness import run_case
 from repro.core import SimConfig, TreadMarks
+from repro.dsm.address_space import AddressSpace
+from repro.dsm.intervals import Interval
+from repro.dsm.lrc import LrcProc
+from repro.sim.engine import Engine
 
 
 def test_single_use():
@@ -82,3 +89,25 @@ def test_malloc_alias():
     tmk = TreadMarks(SimConfig(nprocs=1), heap_bytes=1 << 14)
     alloc = tmk.malloc("raw", 256)
     assert alloc.nwords == 64
+
+
+@pytest.mark.parametrize(
+    "label,extra",
+    [("4K", {}), ("Dyn", {}), ("4K", {"protocol": "hlrc"}),
+     ("4K", {"protocol": "erc"}), ("4K", {"protocol": "swi"})],
+)
+def test_finished_run_is_freed_by_reference_counting(label, extra):
+    """A finished cell holds no reference cycle: nothing of its runtime
+    is left for the cyclic collector (which would keep its heap images
+    alive until it happens to run)."""
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        run_case("Jacobi", "1Kx1K", label, **extra)
+        gc.collect()
+        runtime = (TreadMarks, Engine, LrcProc, AddressSpace, Interval)
+        leaked = [type(o).__name__ for o in gc.garbage if isinstance(o, runtime)]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert leaked == []

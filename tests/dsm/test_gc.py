@@ -10,6 +10,7 @@ from repro.dsm.vc import VectorClock
 from repro.apps.base import run_app
 from repro.sim.config import SimConfig as SC
 from tests.conftest import checksum_close, tiny_app
+from tests.dsm.test_intervals import close
 
 
 def many_barrier_run(gc_threshold):
@@ -65,10 +66,8 @@ def test_gc_transparent_on_applications(name):
 
 def test_collect_respects_references():
     store = IntervalStore(nprocs=2)
-    from tests.dsm.test_intervals import mkdiff
-
     for i in range(1, 6):
-        store.close_interval(0, VectorClock([i, 0]), {0: mkdiff(0)})
+        close(store, 0, [i, 0], [0])
     known = VectorClock([5, 0])
     dropped = store.collect(known, referenced={(0, 3)})
     assert dropped == 4
@@ -79,9 +78,7 @@ def test_collect_respects_references():
 
 def test_collect_ignores_unknown_intervals():
     store = IntervalStore(nprocs=2)
-    from tests.dsm.test_intervals import mkdiff
-
-    store.close_interval(1, VectorClock([0, 1]), {0: mkdiff(0)})
+    close(store, 1, [0, 1], [0])
     dropped = store.collect(VectorClock([0, 0]), referenced=set())
     assert dropped == 0
     assert store.count() == 1
@@ -102,7 +99,7 @@ def span_run(gc_threshold, monkeypatch=None, audit=None):
 
         def audited(self, known_vc, referenced):
             before = {
-                (p, i): set(iv.diffs)
+                (p, i): set(iv.units.tolist())
                 for p in range(self.nprocs)
                 for i, iv in self._by_proc[p].items()
             }

@@ -1,17 +1,11 @@
-"""Interval store: closing, retrieval, notice generation."""
+"""Interval store: closing, retrieval, the packed diff record."""
 
 import numpy as np
 import pytest
 
-from repro.dsm.diff import create_diff
+from repro.dsm.diff import pack_diffs
 from repro.dsm.intervals import IntervalStore
 from repro.dsm.vc import VectorClock
-
-
-def mkdiff(unit=0):
-    return create_diff(
-        unit, np.zeros(4, np.uint32), np.array([1, 0, 0, 0], np.uint32)
-    )
 
 
 @pytest.fixture
@@ -20,8 +14,13 @@ def store():
 
 
 def close(store, proc, vc_entries, units):
-    vc = VectorClock(vc_entries)
-    return store.close_interval(proc, vc, {u: mkdiff(u) for u in units})
+    """Close ``proc``'s next interval (clock ``vc_entries``) as having
+    written word 0 of each of ``units`` (4-word units) with value 1."""
+    units = np.asarray(sorted(units), dtype=np.int64)
+    current = np.zeros((units.shape[0], 4), np.uint32)
+    current[:, 0] = 1
+    diffs = pack_diffs(units, np.zeros_like(current), current)
+    return store.close_interval(proc, VectorClock(vc_entries), diffs)
 
 
 def test_close_assigns_index_and_commit_seq(store):
@@ -38,7 +37,8 @@ def test_close_requires_ticked_vc(store):
 
 def test_get(store):
     close(store, 2, [0, 0, 1], [5])
-    assert store.get(2, 1).diffs[5].unit == 5
+    d = store.get(2, 1).diff_for(5)
+    assert (d.unit, d.idx.tolist(), d.values.tolist()) == (5, [0], [1])
     with pytest.raises(KeyError):
         store.get(2, 2)
     with pytest.raises(KeyError):
@@ -61,22 +61,6 @@ def test_intervals_between(store):
     assert got == [2, 3]
 
 
-def test_notices_between_covers_exactly_the_gap(store):
-    close(store, 0, [1, 0, 0], [10, 11])
-    close(store, 1, [0, 1, 0], [11])
-    close(store, 0, [2, 0, 0], [12])
-    old = VectorClock([1, 0, 0])
-    new = VectorClock([2, 1, 0])
-    pairs = {(iv.proc, iv.index, u) for iv, u in store.notices_between(old, new)}
-    assert pairs == {(0, 2, 12), (1, 1, 11)}
-
-
-def test_notices_between_empty_when_equal(store):
-    close(store, 0, [1, 0, 0], [0])
-    vc = VectorClock([1, 0, 0])
-    assert list(store.notices_between(vc, vc)) == []
-
-
 def test_commit_seq_strictly_increasing(store):
     seqs = [close(store, p, e, [0]).commit_seq
             for p, e in [(0, [1, 0, 0]), (1, [0, 1, 0]), (2, [0, 0, 1]),
@@ -89,3 +73,10 @@ def test_diff_for_missing_unit_raises(store):
     iv = close(store, 0, [1, 0, 0], [3])
     with pytest.raises(KeyError):
         iv.diff_for(4)
+
+
+def test_interval_shares_one_notice_tuple(store):
+    iv = close(store, 1, [0, 1, 0], [7, 3])
+    assert iv.notice == (1, 1, iv.commit_seq)
+    assert iv.units.tolist() == [3, 7]
+    assert not iv.units.flags.writeable
