@@ -229,10 +229,15 @@ class DiskCache:
         return self.root / entry_filename(app, dataset, label, key)
 
     def load(
-        self, app: str, dataset: str, label: str, config: SimConfig
+        self, app: str, dataset: str, label: str, config: SimConfig,
+        key: Optional[str] = None,
     ) -> "Optional[CaseResult]":
-        """Return the cached :class:`CaseResult`, or None on a miss."""
-        key = cell_key(app, dataset, config)
+        """Return the cached :class:`CaseResult`, or None on a miss.
+
+        ``key`` is the cell's :func:`cell_key` when the caller already
+        holds it (it is derived from ``config`` otherwise)."""
+        if key is None:
+            key = cell_key(app, dataset, config)
         path = self._path(app, dataset, label, key)
         try:
             entry = json.loads(path.read_text())

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import pathlib
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -131,7 +131,9 @@ class CaseResult:
     # decimal form.
     # ------------------------------------------------------------------
     def to_json_dict(self) -> Dict[str, Any]:
-        data = asdict(self)
+        # Shallow: every field but the signature is a scalar, and the
+        # signature is re-encoded here anyway (no asdict deep copy).
+        data = {name: getattr(self, name) for name in _CASE_FIELDS}
         data["signature"] = normalized_to_json(self.signature)
         return data
 
@@ -140,6 +142,10 @@ class CaseResult:
         data = dict(data)
         data["signature"] = normalized_from_json(data["signature"])
         return cls(**data)
+
+
+#: CaseResult field names in declaration order (the JSON key order).
+_CASE_FIELDS = tuple(f.name for f in fields(CaseResult))
 
 
 def run_case(app_name: str, dataset: str, label: str, **extra: Any) -> CaseResult:
@@ -212,7 +218,7 @@ class ResultCache:
             return cls._cells[key]
         result = None
         if cls._disk is not None:
-            result = cls._disk.load(app_name, dataset, label, config)
+            result = cls._disk.load(app_name, dataset, label, config, key)
         if result is None:
             if not cls._compute:
                 raise PendingCellError(
@@ -247,7 +253,7 @@ class ResultCache:
         if key in cls._cells:
             return True
         if cls._disk is not None:
-            result = cls._disk.load(app_name, dataset, label, config)
+            result = cls._disk.load(app_name, dataset, label, config, key)
             if result is not None:
                 cls._cells[key] = result
                 return True

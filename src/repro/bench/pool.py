@@ -25,6 +25,7 @@ thread state.
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -55,8 +56,11 @@ class SweepCell:
     def kwargs(self) -> Dict[str, Any]:
         return dict(self.extra)
 
-    @property
+    @functools.cached_property
     def key(self) -> str:
+        """The content-addressed cell key, derived once per cell object
+        (stored in the instance ``__dict__``, so it stays out of the
+        frozen dataclass's fields, equality and hash)."""
         return cell_key(self.app, self.dataset, config_for(self.label, **self.kwargs))
 
     def __str__(self) -> str:

@@ -26,7 +26,10 @@ Caching: complete experiment responses carry a strong ``ETag`` derived
 from the sorted content-addressed cell keys (which hash the code
 version, the config, and the identity of every cell), so a revalidation
 (``If-None-Match``) answers ``304`` until any underlying cell -- or the
-simulator itself -- changes.  Raw cell entries use the key itself.
+simulator itself -- changes.  Raw cell entries use the key itself.  The
+``304`` is decided after every cell's entry has been read and verified
+(a missing or corrupt entry still answers ``202``) and before any body
+is built, so a revalidation costs the reads and nothing else.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ import csv
 import hashlib
 import io
 import json
+import re
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -53,6 +57,10 @@ EXPERIMENTS = ("table1", "figure1", "figure2", "figure3", "ablation",
 
 #: Pending responses list at most this many missing cells.
 MAX_MISSING_LISTED = 50
+
+#: The only keys :func:`repro.bench.cache.cell_key` emits; anything else
+#: in a ``/v1/cells/`` URL is answered 404 without touching the store.
+_CELL_KEY = re.compile(r"[0-9a-f]{24}")
 
 #: Renderers touch the process-wide ResultCache; one render at a time.
 _RENDER_LOCK = threading.Lock()
@@ -156,6 +164,10 @@ class _Response:
              content_type: str = "text/plain; charset=utf-8") -> "_Response":
         return cls(status, content_type, body, etag)
 
+    @classmethod
+    def not_modified(cls, etag: str) -> "_Response":
+        return cls(304, "", "", etag)
+
 
 class FarmService:
     """Routing and rendering, separated from the socket plumbing so the
@@ -165,7 +177,10 @@ class FarmService:
         self.store = store
 
     # -- routing ------------------------------------------------------
-    def handle(self, path: str) -> _Response:
+    def handle(self, path: str,
+               if_none_match: Optional[str] = None) -> _Response:
+        """Route one request; ``if_none_match`` is the request's
+        ``If-None-Match`` header (a match answers ``304``)."""
         path = path.split("?", 1)[0]
         if path in ("/", "/v1", "/v1/"):
             return self._index()
@@ -178,10 +193,10 @@ class FarmService:
             if "." in rest:
                 name, fmt = rest.rsplit(".", 1)
                 if name in EXPERIMENTS and fmt in ("json", "csv", "txt"):
-                    return self._experiment(name, fmt)
+                    return self._experiment(name, fmt, if_none_match)
         if path.startswith("/v1/cells/") and path.endswith(".json"):
             key = path[len("/v1/cells/"):-len(".json")]
-            return self._cell(key)
+            return self._cell(key, if_none_match)
         return _Response.json(404, {"error": f"no such resource: {path}"})
 
     def _index(self) -> _Response:
@@ -210,7 +225,8 @@ class FarmService:
                 results.append(result)
         return results, missing
 
-    def _experiment(self, name: str, fmt: str) -> _Response:
+    def _experiment(self, name: str, fmt: str,
+                    if_none_match: Optional[str]) -> _Response:
         cells = experiment_cells(name)
         results, missing = self._fetch(cells)
         if missing:
@@ -227,6 +243,8 @@ class FarmService:
                         "in-request; submit the sweep and run workers",
             })
         etag = _cells_etag(cells)
+        if if_none_match == etag:
+            return _Response.not_modified(etag)
         if fmt == "json":
             return _Response.json(200, _json_payload(name, cells, results),
                                   etag=etag)
@@ -239,7 +257,9 @@ class FarmService:
             return _Response.json(500, {"error": str(exc)})
         return _Response.text(200, text + "\n", etag=etag)
 
-    def _cell(self, key: str) -> _Response:
+    def _cell(self, key: str, if_none_match: Optional[str]) -> _Response:
+        if not _CELL_KEY.fullmatch(key):
+            return _Response.json(404, {"error": f"unknown cell key {key!r}"})
         entry = self.store.backend.find_entry(key)
         if entry is None:
             queued = self.store.backend.queue_lookup(key)
@@ -251,7 +271,10 @@ class FarmService:
                     "cell": str(queued.cell),
                 })
             return _Response.json(404, {"error": f"unknown cell key {key!r}"})
-        return _Response.json(200, entry, etag=f'"{key}"')
+        etag = f'"{key}"'
+        if if_none_match == etag:
+            return _Response.not_modified(etag)
+        return _Response.json(200, entry, etag=etag)
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -268,13 +291,12 @@ class _Handler(BaseHTTPRequestHandler):
         self._respond(head=True)
 
     def _respond(self, head: bool) -> None:
-        response = self.service.handle(self.path)
-        if (
-            response.etag is not None
-            and self.headers.get("If-None-Match") == response.etag
-        ):
+        response = self.service.handle(
+            self.path, self.headers.get("If-None-Match")
+        )
+        if response.status == 304:
             self.send_response(304)
-            self.send_header("ETag", response.etag)
+            self.send_header("ETag", str(response.etag))
             self.end_headers()
             return
         self.send_response(response.status)

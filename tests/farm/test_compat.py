@@ -139,3 +139,32 @@ class TestPreDigestEntries:
         assert path.read_text() == dump_entry(
             {**old, "digest": entry_digest(old)}
         )
+
+
+class TestEntryBytesPin:
+    """Key and entry bytes of one fixed cell, with the code version held
+    constant so the pin survives source edits: any change to how a
+    config or a result is serialized shows up here as a digest change."""
+
+    CASE = dict(
+        app="Jacobi", dataset="1Kx1K", label="Dyn", time_us=30693.023999999998,
+        useful_messages=112, useless_messages=3, sync_messages=140,
+        useful_bytes=231504, useless_bytes=4096,
+        piggybacked_useless_bytes=1024, sync_bytes=42560,
+        signature={1: (0.75, 0.125), 2: (0.0, 0.125)},
+        checksum=3905859.007021578, faults=56, monitoring_faults=2,
+    )
+
+    def test_key_and_entry_bytes_pin(self, monkeypatch):
+        import repro.bench.cache as cache
+        from repro.bench.harness import CaseResult
+
+        monkeypatch.setattr(cache, "code_version", lambda: "0123456789abcdef")
+        config = config_for("Dyn", max_group_pages=4)
+        key = cell_key("Jacobi", "1Kx1K", config)
+        assert key == "789507d2da36650f1f45b9fa"
+        entry = build_entry("Jacobi", "1Kx1K", "Dyn", config,
+                            CaseResult(**self.CASE))
+        assert entry["key"] == key
+        digest = hashlib.sha256(dump_entry(entry).encode()).hexdigest()
+        assert digest[:24] == "3a92a86bb623e8a78ee8f787"

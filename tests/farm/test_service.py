@@ -181,6 +181,49 @@ class TestCells:
         assert response.status == 404
 
 
+class TestCellKeyValidation:
+    """``/v1/cells/<key>.json`` accepts only what ``cell_key`` emits (24
+    lowercase hex digits); anything else is a 404 that never reaches
+    the backend -- in particular no glob pattern can select an entry."""
+
+    HOSTILE = ["*", "[0-9a-f]*", "3b35*", "?" * 24, "A" * 24, "a" * 23,
+               "a" * 25, "../x", ""]
+
+    @pytest.fixture(params=["local", "sqlite"])
+    def store(self, request, tmp_path, jacobi_cells, jacobi_results):
+        spec = (str(tmp_path / "store") if request.param == "local"
+                else f"sqlite:{tmp_path / 'store.sqlite'}")
+        store = open_store(spec)
+        for label, cell in jacobi_cells.items():
+            store.put_result(cell, jacobi_results[label])
+        yield store
+        store.close()
+
+    @pytest.mark.parametrize("key", HOSTILE)
+    def test_hostile_key_is_404_before_the_backend(self, store, monkeypatch,
+                                                    key):
+        def untouchable(*args, **kwargs):
+            raise AssertionError("a malformed key reached the backend")
+
+        monkeypatch.setattr(store.backend, "find_entry", untouchable)
+        monkeypatch.setattr(store.backend, "queue_lookup", untouchable)
+        response = FarmService(store).handle(f"/v1/cells/{key}.json")
+        assert response.status == 404
+        assert response.etag is None
+
+    @pytest.mark.parametrize("key", HOSTILE[:3])
+    def test_glob_key_never_selects_an_entry(self, store, key):
+        assert FarmService(store).handle(f"/v1/cells/{key}.json").status == 404
+        assert store.backend.find_entry(key) is None
+
+    def test_every_real_key_still_served(self, store, jacobi_cells):
+        svc = FarmService(store)
+        for cell in jacobi_cells.values():
+            response = svc.handle(f"/v1/cells/{cell.key}.json")
+            assert response.status == 200
+            assert response.etag == f'"{cell.key}"'
+
+
 class TestHTTP:
     @pytest.fixture()
     def server(self, full_store):

@@ -4,6 +4,10 @@ hammer (spawned processes racing the same cell)."""
 
 import json
 import multiprocessing
+import sqlite3
+import sys
+import threading
+import time
 
 import pytest
 
@@ -68,6 +72,14 @@ class TestResults:
         entry = store.backend.find_entry(cell.key)
         assert entry is not None and entry["key"] == cell.key
         assert store.backend.find_entry("0" * 24) is None
+
+    def test_find_entry_matches_the_key_literally(
+        self, store, jacobi_cells, jacobi_results
+    ):
+        key = store.put_result(jacobi_cells["4K"], jacobi_results["4K"])
+        for pattern in ("*", "[0-9a-f]*", key[:4] + "*", "?" * len(key)):
+            assert store.backend.find_entry(pattern) is None
+        assert store.backend.find_entry(key)["key"] == key
 
     def test_corrupt_entry_is_a_miss(self, store, jacobi_cells,
                                      jacobi_results):
@@ -376,3 +388,151 @@ def test_open_store_dispatch(tmp_path):
     assert isinstance(
         open_store(str(tmp_path / "dir2")).backend, LocalDirBackend
     )
+
+
+# ----------------------------------------------------------------------
+# SqliteBackend connection pool
+# ----------------------------------------------------------------------
+def _save_entry_in_child(path, entry_json):
+    """Another process commits one entry and exits."""
+    from repro.farm.store import SqliteBackend
+
+    backend = SqliteBackend(path)
+    entry = json.loads(entry_json)
+    backend.save_entry(entry["app"], entry["dataset"], entry["label"],
+                       entry["key"], entry)
+    backend.close()
+
+
+def _entry_for(cell, result):
+    return build_entry(cell.app, cell.dataset, cell.label,
+                       config_for(cell.label, **cell.kwargs), result)
+
+
+class TestSqlitePool:
+    def test_pooled_reader_sees_a_later_commit_of_another_process(
+        self, tmp_path, jacobi_cells, jacobi_results
+    ):
+        path = tmp_path / "store.sqlite"
+        reader = SqliteBackend(path)
+        first, later = jacobi_cells["4K"], jacobi_cells["8K"]
+        ResultStore(reader).put_result(first, jacobi_results["4K"])
+        # Reads that leave a row behind and reads that miss, on the one
+        # pooled connection: neither may pin a snapshot.
+        assert reader.find_entry(first.key)["key"] == first.key
+        assert reader.find_entry(later.key) is None
+        assert reader.result_count() == 1
+        assert len(reader._idle) == 1
+        pooled = reader._idle[0]
+
+        ctx = multiprocessing.get_context("spawn")
+        child = ctx.Process(
+            target=_save_entry_in_child,
+            args=(str(path),
+                  json.dumps(_entry_for(later, jacobi_results["8K"]))),
+        )
+        child.start()
+        child.join(timeout=60)
+        assert child.exitcode == 0
+
+        assert reader.find_entry(later.key)["key"] == later.key
+        assert reader.result_count() == 2
+        assert reader._idle == [pooled]  # still the same connection
+        reader.close()
+
+    @pytest.mark.parametrize("scope", ["_read", "_connect"])
+    def test_exception_inside_a_connection_leaves_the_pool_usable(
+        self, tmp_path, jacobi_cells, scope
+    ):
+        backend = SqliteBackend(tmp_path / "store.sqlite")
+        store = ResultStore(backend, clock=FakeClock())
+        cell = jacobi_cells["4K"]
+        store.submit([cell])
+        with pytest.raises(RuntimeError):
+            with getattr(backend, scope)() as con:
+                con.execute("BEGIN IMMEDIATE")
+                con.execute("UPDATE queue SET worker = 'ghost'")
+                raise RuntimeError("mid-transaction failure")
+        # The failed connection was closed, not pooled; its write lock
+        # and its uncommitted update are gone.
+        assert con not in backend._idle
+        with pytest.raises(sqlite3.ProgrammingError):
+            con.execute("SELECT 1")
+        assert backend.queue_lookup(cell.key).worker is None
+        claim = store.claim("w0")
+        assert claim is not None and claim.key == cell.key
+        assert claim.generation == 1
+        backend.close()
+
+    def test_close_closes_idle_connections(self, tmp_path, jacobi_cells):
+        backend = SqliteBackend(tmp_path / "store.sqlite")
+        store = ResultStore(backend, clock=FakeClock())
+        store.submit([jacobi_cells["4K"]])
+        store.status()
+        idle = list(backend._idle)
+        assert idle
+        backend.close()
+        assert backend._idle == []
+        for con in idle:
+            with pytest.raises(sqlite3.ProgrammingError):
+                con.execute("SELECT 1")
+        # A closed backend reopens on demand.
+        assert backend.result_count() == 0
+        backend.close()
+
+    def test_reader_threads_against_a_live_claim_loop(
+        self, tmp_path, jacobi_cells, jacobi_results
+    ):
+        store = ResultStore(SqliteBackend(tmp_path / "store.sqlite"))
+        store.submit(list(jacobi_cells.values()))
+        by_key = {cell.key: label for label, cell in jacobi_cells.items()}
+        done = threading.Event()
+        errors = []
+        reads = []
+
+        def claim_loop():
+            try:
+                while (claim := store.claim("w0")) is not None:
+                    time.sleep(0.01)
+                    store.complete(claim, jacobi_results[by_key[claim.key]])
+            except Exception as exc:  # pragma: no cover - reported below
+                errors.append(exc)
+            finally:
+                done.set()
+
+        def reader():
+            n = 0
+            try:
+                while not done.is_set() or n < 8:
+                    for label, cell in jacobi_cells.items():
+                        got = store.get_result(cell)
+                        assert got is None or got == jacobi_results[label]
+                    status = store.status()
+                    assert status.failed == 0
+                    assert (status.queued + status.claimed + status.done
+                            == len(jacobi_cells))
+                    n += 1
+            except Exception as exc:  # pragma: no cover - reported below
+                errors.append(exc)
+            reads.append(n)
+
+        threads = [threading.Thread(target=reader) for _ in range(8)]
+        threads.append(threading.Thread(target=claim_loop))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the pool's check-then-pop
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors, errors
+        assert len(reads) == 8 and min(reads) >= 8
+        assert all(store.get_result(c) is not None
+                   for c in jacobi_cells.values())
+        assert store.status().done == len(jacobi_cells)
+        # One connection per concurrently active thread, at most.
+        assert len(store.backend._idle) <= 9
+        store.close()

@@ -1,7 +1,7 @@
 """Paired A/B timing of two source trees on the repo benchmark.
 
     python tools/ab.py TREE_A TREE_B [--workloads W1,W2] [--pairs N]
-                       [--seconds S] [--seed N] [--out FILE]
+                       [--seconds S] [--seed N] [--counts] [--out FILE]
 
 Each tree is a full checkout of one revision (``git clone`` or ``git
 archive`` it somewhere; a tree is never modified except for its
@@ -21,6 +21,12 @@ Reported per workload and end-to-end metric (direction from tree B's
   sign-test p value;
 * ``resolved``: B's median beats A's by more than the distance between
   A's quartiles -- together with wins, the test a claimed gain must pass.
+
+``--counts`` adds one ``--trace 1`` run per tree and workload (seed
+``seed``) and lists every per-layer metric of unit ``count`` whose value
+differs between the two (the bound on a count is 0: a change that moves
+one changed what the workload does, not how fast).  ``--pairs 0
+--counts`` compares counts only.
 
 ``--out`` writes every run's metrics and the summary as JSON.
 """
@@ -57,11 +63,11 @@ def prepare(tree: pathlib.Path) -> None:
 
 
 def run_once(tree: pathlib.Path, workload: str, seed: int,
-             extra: Sequence[str]) -> Optional[Run]:
+             extra: Sequence[str], trace: bool = False) -> Optional[Run]:
     """One ``run.py`` process; its parsed result line, or None."""
     proc = subprocess.run(
         [sys.executable, "benchmarks/perf/run.py", "--workload", workload,
-         "--seed", str(seed), *extra],
+         "--seed", str(seed), "--trace", str(int(trace)), *extra],
         cwd=tree, stdout=subprocess.PIPE, text=True, check=False,
     )
     lines = proc.stdout.splitlines()
@@ -110,6 +116,38 @@ def summarize(a: Sequence[float], b: Sequence[float],
     }
 
 
+def count_diffs(a: Run, b: Run) -> Dict[str, List[float]]:
+    """``metric -> [A, B]`` for every unit-``count`` metric that differs
+    between two traced runs."""
+    return {
+        name: [m["value"], b["metrics"][name]["value"]]
+        for name, m in sorted(a["metrics"].items())
+        if m["unit"] == "count" and name in b["metrics"]
+        and m["value"] != b["metrics"][name]["value"]
+    }
+
+
+def compare_counts(trees: Sequence[pathlib.Path], workloads: Sequence[str],
+                   seed: int, extra: Sequence[str]) -> Dict[str, Any]:
+    """One traced run per tree and workload; print and return the count
+    metrics that differ."""
+    out: Dict[str, Any] = {}
+    print("exact counts (one --trace 1 run per tree, bound 0):")
+    for workload in workloads:
+        a, b = (run_once(tree, workload, seed, extra, trace=True)
+                for tree in trees)
+        if a is None or b is None:
+            out[workload] = None
+            print(f"  {workload}: no result line")
+            continue
+        diffs = out[workload] = count_diffs(a, b)
+        print(f"  {workload}: "
+              + (f"{len(diffs)} differ" if diffs else "identical"))
+        for name, (x, y) in diffs.items():
+            print(f"    {name}: A {x:.17g}  B {y:.17g}")
+    return out
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         description=__doc__.split("\n\n")[0] if __doc__ else None)
@@ -122,6 +160,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="run.py --seconds (default: its run_seconds)")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed of pair 0; pair k uses seed + k")
+    parser.add_argument("--counts", action="store_true",
+                        help="also compare the exact counts of one traced "
+                             "run per tree")
     parser.add_argument("--out", type=pathlib.Path, default=None)
     args = parser.parse_args(argv)
 
@@ -172,14 +213,17 @@ def main(argv: Optional[List[str]] = None) -> int:
                   f"{s['wins']:>2d}/{s['losses']:<3d} {s['sign_p']:8.4f}  "
                   f"{'yes' if s['resolved'] else 'no':8s}  "
                   f"{failed[0]}/{failed[1]}")
+    counts = (compare_counts(trees, workloads, args.seed, extra)
+              if args.counts else None)
     if args.out is not None:
         args.out.write_text(json.dumps(
             {"trees": [str(t) for t in trees], "pairs": args.pairs,
              "seed": args.seed, "seconds": args.seconds,
-             "summary": summary, "runs": runs},
+             "summary": summary, "runs": runs, "counts": counts},
             indent=1) + "\n")
-    return 0 if all(s["failed_a"] == s["failed_b"] == 0
-                    for s in summary.values()) else 1
+    ok = all(s["failed_a"] == s["failed_b"] == 0 for s in summary.values())
+    ok = ok and None not in (counts or {}).values()
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":
