@@ -1,5 +1,8 @@
 """Experiment harness: regenerates every table and figure of the paper.
 
+* :mod:`repro.bench.experiments` -- the experiment registry: each named
+  experiment's cell enumerator and renderer, read by the bench CLI, the
+  farm's ``submit`` and the results service.
 * :mod:`repro.bench.harness` -- run matrix, caching, normalization, and
   ASCII rendering shared by all experiments.
 * :mod:`repro.bench.table1` -- Table 1 (sequential times and 8-processor
@@ -13,14 +16,17 @@
   fetch).
 * :mod:`repro.bench.cache` -- on-disk result cache keyed by (code
   version, app, dataset, config); any source change invalidates it.
+  Its ``DiskCache`` is the one entry-directory implementation (the
+  farm's local-dir store subclasses it).
 * :mod:`repro.bench.pool` -- multiprocessing fan-out of independent
   sweep cells (``--jobs``), bit-identical to serial execution.
 * :mod:`repro.bench.golden` -- the golden-baseline regression gate
   (``--check`` / ``--refresh-golden`` against ``benchmarks/golden/``).
 
 Each module renders the paper-shaped table as text and returns the raw
-numbers; the ``benchmarks/`` pytest-benchmark suite drives them and
-writes the outputs next to EXPERIMENTS.md.
+numbers, reading every cell through a ``get`` lookup that defaults to
+``ResultCache.get``; the ``benchmarks/`` pytest-benchmark suite drives
+them and writes the outputs next to EXPERIMENTS.md.
 """
 
 from repro.bench.cache import DiskCache

@@ -25,22 +25,23 @@ sanitized to a filesystem-safe alphabet; the trailing content-addressed
 key is what disambiguates, so prefix collisions are harmless).  Corrupt,
 truncated, or stale-schema files are treated as misses and overwritten.
 
-The entry construction / validation / naming helpers below are shared
-with the distributed result store (:mod:`repro.farm.store`), whose
-``LocalDirBackend`` is byte-compatible with this layout -- a cache
-directory written by either is warm for both.
+:class:`DiskCache` is the one implementation of this entry directory:
+the distributed result store's ``LocalDirBackend``
+(:mod:`repro.farm.store`) is a ``DiskCache`` plus a work queue, so a
+cache directory is a warm store and vice versa.
 """
 
 from __future__ import annotations
 
 import contextlib
+import glob
 import hashlib
 import json
 import os
 import pathlib
 import re
 import tempfile
-from typing import TYPE_CHECKING, Any, Dict, Optional
+from typing import TYPE_CHECKING, Any, Dict, Optional, Union
 
 from repro.sim.config import SimConfig
 
@@ -217,9 +218,15 @@ def atomic_write_text(path: pathlib.Path, text: str) -> None:
 
 
 class DiskCache:
-    """One-file-per-cell JSON cache with hit/miss accounting."""
+    """One-file-per-cell JSON entry directory with hit/miss accounting.
 
-    def __init__(self, root: pathlib.Path = DEFAULT_CACHE_DIR) -> None:
+    :meth:`load` / :meth:`store` are the bench cache's entry points; the
+    entry-level methods (:meth:`load_entry`, :meth:`save_entry`,
+    :meth:`find_entry`, :meth:`result_count`) are the result half of the
+    farm's ``LocalDirBackend``, which subclasses this.
+    """
+
+    def __init__(self, root: Union[str, pathlib.Path] = DEFAULT_CACHE_DIR) -> None:
         self.root = pathlib.Path(root)
         self.hits = 0
         self.misses = 0
@@ -228,25 +235,67 @@ class DiskCache:
     def _path(self, app: str, dataset: str, label: str, key: str) -> pathlib.Path:
         return self.root / entry_filename(app, dataset, label, key)
 
+    @staticmethod
+    def _read_json(path: pathlib.Path) -> Optional[Dict[str, Any]]:
+        """A JSON object file's contents; None when it is missing,
+        unreadable, truncated or not an object."""
+        try:
+            data = json.loads(path.read_text())
+        except (OSError, ValueError):
+            return None
+        return data if isinstance(data, dict) else None
+
+    def load_entry(
+        self, app: str, dataset: str, label: str, key: str
+    ) -> Optional[Dict[str, Any]]:
+        """The raw entry for one cell (unverified), or None."""
+        return self._read_json(self._path(app, dataset, label, key))
+
+    def save_entry(
+        self, app: str, dataset: str, label: str, key: str,
+        entry: Dict[str, Any],
+    ) -> None:
+        """Write one raw entry atomically."""
+        atomic_write_text(self._path(app, dataset, label, key), dump_entry(entry))
+
+    def find_entry(self, key: str) -> Optional[Dict[str, Any]]:
+        """The raw entry stored under ``key``, whatever its cell's name."""
+        # The key is matched literally: glob metacharacters in it must
+        # not select some other cell's entry.
+        for path in self.root.glob(f"*-{glob.escape(key)}.json"):
+            entry = self._read_json(path)
+            if entry is not None:
+                return entry
+        return None
+
+    def result_count(self) -> int:
+        """Number of entry files."""
+        if not self.root.is_dir():
+            return 0
+        return sum(1 for _ in self.root.glob("*.json"))
+
     def load(
         self, app: str, dataset: str, label: str, config: SimConfig,
         key: Optional[str] = None,
     ) -> "Optional[CaseResult]":
-        """Return the cached :class:`CaseResult`, or None on a miss.
+        """Return the cached :class:`CaseResult`, or None on a miss
+        (missing, corrupt, stale or digest-mismatched entry).
 
         ``key`` is the cell's :func:`cell_key` when the caller already
         holds it (it is derived from ``config`` otherwise)."""
         if key is None:
             key = cell_key(app, dataset, config)
-        path = self._path(app, dataset, label, key)
-        try:
-            entry = json.loads(path.read_text())
-            result = parse_entry(entry, key)
-        except (OSError, ValueError, KeyError, TypeError):
-            self.misses += 1
-            return None
-        self.hits += 1
-        return result
+        entry = self.load_entry(app, dataset, label, key)
+        if entry is not None:
+            try:
+                result = parse_entry(entry, key)
+            except (ValueError, KeyError, TypeError):
+                pass
+            else:
+                self.hits += 1
+                return result
+        self.misses += 1
+        return None
 
     def store(
         self, app: str, dataset: str, label: str, config: SimConfig,
@@ -267,6 +316,3 @@ class DiskCache:
                 path.unlink()
                 n += 1
         return n
-
-    def __len__(self) -> int:
-        return len(list(self.root.glob("*.json"))) if self.root.is_dir() else 0

@@ -23,80 +23,11 @@ from __future__ import annotations
 import argparse
 import pathlib
 import sys
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
-from repro.bench import (
-    ablation,
-    cache,
-    figures,
-    golden,
-    micro,
-    pool,
-    profile,
-    protocol_sweep,
-    table1,
-)
+from repro.bench import cache, figures, golden, pool, profile
+from repro.bench.experiments import EXPERIMENTS, cells_of, rendered
 from repro.bench.harness import ResultCache
-
-
-def _run_table1() -> str:
-    return table1.render_table1(table1.build_table1())
-
-
-def _run_figure(
-    fig: Callable[[], Tuple[figures.Matrix, str]]
-) -> Callable[[], str]:
-    def run() -> str:
-        _, text = fig()
-        return text
-
-    return run
-
-
-def _run_micro() -> str:
-    return micro.render(micro.run_all())
-
-
-def _run_ablation() -> str:
-    rows = (
-        ablation.sweep_group_size("ILINK", "CLP")
-        + ablation.sweep_group_size("MGS", "1Kx1K")
-        + ablation.ablate_request_combining("ILINK", "CLP")
-        + ablation.ablate_parallel_fetch("ILINK", "CLP")
-    )
-    return "Ablations\n" + ablation.render(rows)
-
-
-def _run_protocols() -> str:
-    return protocol_sweep.render(protocol_sweep.sweep_rows())
-
-
-COMMANDS: Dict[str, Callable[[], str]] = {
-    "table1": _run_table1,
-    "figure1": _run_figure(figures.figure1),
-    "figure2": _run_figure(figures.figure2),
-    "figure3": _run_figure(figures.figure3),
-    "micro": _run_micro,
-    "ablation": _run_ablation,
-    "protocols": _run_protocols,
-}
-
-
-def _cells_for(names: List[str]) -> List[pool.SweepCell]:
-    """Every sweep cell the named experiments will consume, so a parallel
-    prewarm leaves only cache hits for the (serial) renderers."""
-    cells: List[pool.SweepCell] = []
-    for name in names:
-        if name == "table1":
-            cells.extend(table1.cells())
-        elif name in ("figure1", "figure2", "figure3"):
-            cells.extend(figures.cells(name))
-        elif name == "ablation":
-            cells.extend(ablation.cells())
-        elif name == "protocols":
-            cells.extend(protocol_sweep.cells())
-        # micro measures sync primitives directly; it has no sweep cells.
-    return cells
 
 
 def _dump_traces(outdir: pathlib.Path) -> None:
@@ -127,7 +58,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "experiments",
         nargs="*",
         default=[],
-        metavar="{" + ",".join(sorted(COMMANDS) + ["all"]) + "}",
+        metavar="{" + ",".join(sorted(rendered()) + ["all"]) + "}",
         help="which experiments to run",
     )
     parser.add_argument(
@@ -248,10 +179,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "/ --refresh-golden"
         )
     for name in args.experiments:
-        if name not in ("all", "profile") and name not in COMMANDS:
+        if name not in ("all", "profile") and name not in rendered():
             parser.error(
                 f"unknown experiment {name!r} (choose from "
-                f"{', '.join(sorted(COMMANDS) + ['all', 'profile'])})"
+                f"{', '.join(sorted(rendered()) + ['all', 'profile'])})"
             )
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
@@ -291,7 +222,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         None if args.no_cache else cache.DiskCache(args.cache_dir)
     )
     try:
-        names = sorted(COMMANDS) if "all" in args.experiments else args.experiments
+        names = sorted(rendered()) if "all" in args.experiments else args.experiments
         if "profile" in names:
             # Profiled runs are never cached (the profiler needs the
             # simulation to actually execute) and run after the cached
@@ -301,10 +232,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(text)
             print()
         if names:
-            report = pool.run_cells(_cells_for(names), jobs=args.jobs)
+            # Prewarm in parallel so the (serial) renderers only hit.
+            report = pool.run_cells(cells_of(names), jobs=args.jobs)
             print(f"# sweep: {report.summary()}", file=sys.stderr)
         for name in names:
-            text = COMMANDS[name]()
+            render = EXPERIMENTS[name].render
+            assert render is not None  # rendered() names only
+            text = render(ResultCache.get)
             print(text)
             print()
             if args.out is not None:

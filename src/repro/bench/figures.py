@@ -26,6 +26,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (pool imports us
 from repro.bench.harness import (
     UNIT_LABELS,
     CaseResult,
+    Lookup,
     ResultCache,
     render_breakdown_table,
     render_signature,
@@ -62,12 +63,11 @@ FIGURE3_CASES = [
 Matrix = Dict[Tuple[str, str], Dict[str, CaseResult]]
 
 
-def _sweep(cases: Sequence[Tuple[str, str]]) -> Matrix:
+def _sweep(cases: Sequence[Tuple[str, str]],
+           get: Lookup = ResultCache.get) -> Matrix:
     out: Matrix = {}
     for app, ds in cases:
-        out[(app, ds)] = {
-            label: ResultCache.get(app, ds, label) for label in UNIT_LABELS
-        }
+        out[(app, ds)] = {label: get(app, ds, label) for label in UNIT_LABELS}
     return out
 
 
@@ -87,8 +87,8 @@ def cells(which: str) -> List[SweepCell]:
     ]
 
 
-def figure1() -> Tuple[Matrix, str]:
-    matrix = _sweep(FIGURE1_CASES)
+def figure1(get: Lookup = ResultCache.get) -> Tuple[Matrix, str]:
+    matrix = _sweep(FIGURE1_CASES, get)
     text = "\n\n".join(
         render_breakdown_table(app, ds, cells)
         for (app, ds), cells in matrix.items()
@@ -96,8 +96,8 @@ def figure1() -> Tuple[Matrix, str]:
     return matrix, "Figure 1 -- coarse-grained applications\n" + text
 
 
-def figure2() -> Tuple[Matrix, str]:
-    matrix = _sweep(FIGURE2_CASES)
+def figure2(get: Lookup = ResultCache.get) -> Tuple[Matrix, str]:
+    matrix = _sweep(FIGURE2_CASES, get)
     text = "\n\n".join(
         render_breakdown_table(app, ds, cells)
         for (app, ds), cells in matrix.items()
@@ -105,8 +105,8 @@ def figure2() -> Tuple[Matrix, str]:
     return matrix, "Figure 2 -- size-sensitive applications\n" + text
 
 
-def figure3() -> Tuple[Matrix, str]:
-    matrix = _sweep(FIGURE3_CASES)
+def figure3(get: Lookup = ResultCache.get) -> Tuple[Matrix, str]:
+    matrix = _sweep(FIGURE3_CASES, get)
     blocks: List[str] = []
     for (app, ds), cells in matrix.items():
         blocks.append(f"--- {app} {ds} ---\n" + render_signature(cells))

@@ -13,7 +13,9 @@ from __future__ import annotations
 import pathlib
 import random
 from dataclasses import dataclass, fields
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
@@ -147,6 +149,9 @@ class CaseResult:
 #: CaseResult field names in declaration order (the JSON key order).
 _CASE_FIELDS = tuple(f.name for f in fields(CaseResult))
 
+#: How a renderer reads one cell: ``get(app, dataset, label, **extra)``.
+Lookup = Callable[..., CaseResult]
+
 
 def run_case(app_name: str, dataset: str, label: str, **extra: Any) -> CaseResult:
     """Run one (application, dataset, configuration) cell.
@@ -169,11 +174,6 @@ def run_case(app_name: str, dataset: str, label: str, **extra: Any) -> CaseResul
     return CaseResult.from_run(res)
 
 
-class PendingCellError(LookupError):
-    """A cell was requested while computation is disabled
-    (:meth:`ResultCache.set_compute`) and no cached result exists."""
-
-
 class ResultCache:
     """Process-wide memo of matrix cells (simulations are deterministic,
     so caching is sound), optionally backed by an on-disk cache.
@@ -187,7 +187,6 @@ class ResultCache:
 
     _cells: Dict[str, CaseResult] = {}
     _disk: Optional[DiskCache] = None
-    _compute: bool = True
 
     @classmethod
     def configure(cls, disk: Optional[DiskCache]) -> None:
@@ -197,16 +196,6 @@ class ResultCache:
     @classmethod
     def disk(cls) -> Optional[DiskCache]:
         return cls._disk
-
-    @classmethod
-    def set_compute(cls, enabled: bool) -> bool:
-        """Allow or forbid running simulations on a cache miss; returns
-        the previous setting.  The read-only results service disables
-        computation so a renderer whose cell enumeration drifted raises
-        :class:`PendingCellError` instead of simulating in-request."""
-        previous = cls._compute
-        cls._compute = enabled
-        return previous
 
     @classmethod
     def get(
@@ -220,11 +209,6 @@ class ResultCache:
         if cls._disk is not None:
             result = cls._disk.load(app_name, dataset, label, config, key)
         if result is None:
-            if not cls._compute:
-                raise PendingCellError(
-                    f"cell {app_name}/{dataset}@{label} is not cached and "
-                    f"computation is disabled"
-                )
             result = run_case(app_name, dataset, label, **extra)
             if cls._disk is not None:
                 cls._disk.store(app_name, dataset, label, config, result)

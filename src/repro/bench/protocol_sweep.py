@@ -34,7 +34,7 @@ from repro.bench.golden import (
     _protocol_extra,
     golden_cells,
 )
-from repro.bench.harness import CaseResult, ResultCache
+from repro.bench.harness import Lookup, ResultCache
 from repro.bench.pool import SweepCell
 
 #: Sweep order: the paper's protocol first, then the zoo.
@@ -51,12 +51,6 @@ def cells() -> List[SweepCell]:
     return golden_cells(None, PROTOCOL_ORDER)
 
 
-def _case(app: str, label: str, protocol: str) -> CaseResult:
-    return ResultCache.get(
-        app, SMALL_DATASETS[app], label, **_protocol_extra(protocol)
-    )
-
-
 def stops_paying(times: Dict[str, float]) -> str:
     """The largest static unit whose step up still strictly improved the
     execution time (``times`` maps label -> time_us)."""
@@ -69,17 +63,19 @@ def stops_paying(times: Dict[str, float]) -> str:
     return best
 
 
-def sweep_rows() -> List[Dict[str, Any]]:
+def sweep_rows(get: Lookup = ResultCache.get) -> List[Dict[str, Any]]:
     """Flat per-(app, protocol) rows (CSV-friendly)."""
     rows: List[Dict[str, Any]] = []
     for app in sorted(SMALL_DATASETS):
-        base_tm = _case(app, "4K", "tm-lrc")
+        ds = SMALL_DATASETS[app]
+        base_tm = get(app, ds, "4K", **_protocol_extra("tm-lrc"))
         for protocol in PROTOCOL_ORDER:
-            cases = {lb: _case(app, lb, protocol) for lb in GOLDEN_LABELS}
+            extra = _protocol_extra(protocol)
+            cases = {lb: get(app, ds, lb, **extra) for lb in GOLDEN_LABELS}
             times = {lb: c.time_us for lb, c in cases.items()}
             row: Dict[str, Any] = {
                 "app": app,
-                "dataset": SMALL_DATASETS[app],
+                "dataset": ds,
                 "protocol": protocol,
                 "stops_paying": stops_paying(times),
                 "time_4K_vs_tmlrc": times["4K"] / base_tm.time_us,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, List
 
 from repro.apps.base import AppRegistry
-from repro.bench.harness import ResultCache
+from repro.bench.harness import Lookup, ResultCache
 
 if TYPE_CHECKING:  # pragma: no cover - only for the cells() annotation
     from repro.bench.pool import SweepCell
@@ -55,15 +55,15 @@ def cells() -> List[SweepCell]:
     return out
 
 
-def build_table1() -> List[Table1Row]:
+def build_table1(get: Lookup = ResultCache.get) -> List[Table1Row]:
     """Run every (application, dataset) sequentially and on 8 processors
     at the 4 KB unit."""
     rows: List[Table1Row] = []
     for name in AppRegistry.names():
         app_datasets = AppRegistry.get(name).datasets
         for ds in sorted(app_datasets):
-            seq = ResultCache.get(name, ds, "seq")
-            par = ResultCache.get(name, ds, "4K")
+            seq = get(name, ds, "seq")
+            par = get(name, ds, "4K")
             paper = PAPER_TABLE1.get((name, ds))
             rows.append(
                 Table1Row(

@@ -4,8 +4,10 @@
 endpoints rendered on demand -- pure stdlib (``http.server``), no write
 path, and **no in-request simulation**: an experiment whose cells are
 not all stored yet answers ``202`` with the list of pending cells (the
-farm workers are the only computers of cells), enforced hard by
-:meth:`repro.bench.harness.ResultCache.set_compute`.
+farm workers are the only computers of cells).  A text render reads its
+cells through a lookup over the results this request fetched and
+verified, so it cannot simulate, touches no process-wide state, and
+runs concurrently with any other request.
 
 Endpoints (all ``GET``/``HEAD``):
 
@@ -17,10 +19,11 @@ Endpoints (all ``GET``/``HEAD``):
 ``/v1/experiments/<name>.csv``   flat per-cell golden counters
 ``/v1/cells/<key>.json``       one raw store entry by cell key
 
-Experiment names are the bench CLI's (``table1``, ``figure1``,
-``figure2``, ``figure3``, ``ablation``, ``protocols``) -- the service
-reuses the same cell enumerators and renderers, so its output is
-byte-identical to ``python -m repro.bench <name>`` over a warm cache.
+Experiment names are the entries of :mod:`repro.bench.experiments` with
+both cells and a renderer (``table1``, ``figure1``, ``figure2``,
+``figure3``, ``ablation``, ``protocols``) -- the same cell enumerators
+and renderers the bench CLI runs, so the output is byte-identical to
+``python -m repro.bench <name>`` over a warm cache.
 
 Caching: complete experiment responses carry a strong ``ETag`` derived
 from the sorted content-addressed cell keys (which hash the code
@@ -39,21 +42,15 @@ import hashlib
 import io
 import json
 import re
-import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.bench.experiments import EXPERIMENTS, cells_of, served
 from repro.bench.golden import GOLDEN_FIELDS
-from repro.bench.harness import CaseResult, PendingCellError, ResultCache
+from repro.bench.harness import CaseResult
 from repro.bench.pool import SweepCell, dedupe_cells
 from repro.farm.store import ResultStore
 from repro.sim.config import DEFAULT_PROTOCOL
-
-#: Experiments served: every bench CLI command with a cell enumerator
-#: (micro measures sync primitives in-process, so it has no cells to
-#: serve from a store).
-EXPERIMENTS = ("table1", "figure1", "figure2", "figure3", "ablation",
-               "protocols")
 
 #: Pending responses list at most this many missing cells.
 MAX_MISSING_LISTED = 50
@@ -62,40 +59,36 @@ MAX_MISSING_LISTED = 50
 #: in a ``/v1/cells/`` URL is answered 404 without touching the store.
 _CELL_KEY = re.compile(r"[0-9a-f]{24}")
 
-#: Renderers touch the process-wide ResultCache; one render at a time.
-_RENDER_LOCK = threading.Lock()
 
-
-def experiment_cells(name: str) -> List[SweepCell]:
-    """The deduplicated cells one experiment consumes."""
-    from repro.bench.cli import _cells_for
-
-    return dedupe_cells(_cells_for([name]))
+class PendingCellError(LookupError):
+    """A renderer read a cell its experiment does not declare."""
 
 
 def _render_text(name: str, cells: Sequence[SweepCell],
                  results: Sequence[CaseResult]) -> str:
     """The bench CLI's text rendering, fed exclusively from ``results``.
 
-    Computation is disabled for the duration: if a renderer consumed a
-    cell its enumerator failed to declare, that is a bug
-    (:class:`PendingCellError`), not a license to simulate in-request.
+    The renderer reads through a lookup over ``results``: a cell its
+    enumerator failed to declare is a bug (:class:`PendingCellError`),
+    not a license to simulate in-request.
     """
-    from repro.bench.cli import COMMANDS
+    by_key = {
+        cell.key: result for cell, result in zip(cells, results, strict=True)
+    }
 
-    with _RENDER_LOCK:
-        previous_disk = ResultCache.disk()
-        previous_compute = ResultCache.set_compute(False)
-        ResultCache.configure(None)
-        try:
-            for cell, result in zip(cells, results, strict=True):
-                ResultCache.put(
-                    cell.app, cell.dataset, cell.label, result, **cell.kwargs
-                )
-            return COMMANDS[name]()
-        finally:
-            ResultCache.set_compute(previous_compute)
-            ResultCache.configure(previous_disk)
+    def get(app: str, dataset: str, label: str, **extra: Any) -> CaseResult:
+        cell = SweepCell.make(app, dataset, label, **extra)
+        result = by_key.get(cell.key)
+        if result is None:
+            raise PendingCellError(
+                f"{name} rendered cell {cell} (key {cell.key}), which its "
+                f"cell enumerator does not declare"
+            )
+        return result
+
+    render = EXPERIMENTS[name].render
+    assert render is not None  # served() names only
+    return render(get)
 
 
 def _cells_etag(cells: Sequence[SweepCell]) -> str:
@@ -192,7 +185,7 @@ class FarmService:
             rest = path[len("/v1/experiments/"):]
             if "." in rest:
                 name, fmt = rest.rsplit(".", 1)
-                if name in EXPERIMENTS and fmt in ("json", "csv", "txt"):
+                if name in served() and fmt in ("json", "csv", "txt"):
                     return self._experiment(name, fmt, if_none_match)
         if path.startswith("/v1/cells/") and path.endswith(".json"):
             key = path[len("/v1/cells/"):-len(".json")]
@@ -206,7 +199,7 @@ class FarmService:
                 "/healthz": "liveness probe",
                 "/v1/status.json": "store and queue counters",
                 "/v1/experiments/<name>.{json,csv,txt}":
-                    f"rendered experiments; names: {', '.join(EXPERIMENTS)}",
+                    f"rendered experiments; names: {', '.join(served())}",
                 "/v1/cells/<key>.json": "one raw store entry by cell key",
             },
         })
@@ -227,7 +220,7 @@ class FarmService:
 
     def _experiment(self, name: str, fmt: str,
                     if_none_match: Optional[str]) -> _Response:
-        cells = experiment_cells(name)
+        cells = dedupe_cells(cells_of([name]))
         results, missing = self._fetch(cells)
         if missing:
             return _Response.json(202, {

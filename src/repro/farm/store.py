@@ -23,12 +23,12 @@ abandoned as failed rather than looping forever.
 
 Backends:
 
-* :class:`LocalDirBackend` -- wraps the on-disk layout of
-  :class:`repro.bench.cache.DiskCache` byte-compatibly (a pre-existing
-  cache directory is a warm store and vice versa), with the queue in a
-  ``queue/`` subdirectory.  Claims use ``O_CREAT | O_EXCL`` lease files,
-  so they are atomic for any number of processes sharing the directory
-  (including over NFS-style shared mounts that honor exclusive create).
+* :class:`LocalDirBackend` -- a :class:`repro.bench.cache.DiskCache`
+  (so a pre-existing cache directory is a warm store and vice versa)
+  plus the queue in a ``queue/`` subdirectory.  Claims use
+  ``O_CREAT | O_EXCL`` lease files, so they are atomic for any number of
+  processes sharing the directory (including over NFS-style shared
+  mounts that honor exclusive create).
 * :class:`SqliteBackend` -- a single-file SQLite database in WAL mode;
   claims are ``BEGIN IMMEDIATE`` transactions, safe for many concurrent
   writers, and the natural choice when workers share one filesystem or
@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import abc
 import contextlib
-import glob
 import json
 import os
 import pathlib
@@ -50,13 +49,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from repro.bench.cache import (
-    atomic_write_text,
-    build_entry,
-    dump_entry,
-    entry_filename,
-    parse_entry,
-)
+from repro.bench.cache import DiskCache, atomic_write_text, build_entry, parse_entry
 from repro.bench.harness import CaseResult, config_for
 from repro.bench.pool import SweepCell, dedupe_cells
 
@@ -72,6 +65,18 @@ DEFAULT_LEASE_TTL = 300.0
 #: Default bound on lease generations per cell: a cell that kills its
 #: worker this many times is abandoned as failed, not retried forever.
 DEFAULT_MAX_GENERATIONS = 3
+
+
+def verifies(entry: Optional[Dict[str, Any]], key: str) -> bool:
+    """Whether ``entry`` is a published result for ``key`` (present, and
+    :func:`repro.bench.cache.parse_entry` accepts it)."""
+    if entry is None:
+        return False
+    try:
+        parse_entry(entry, key)
+    except (ValueError, KeyError, TypeError):
+        return False
+    return True
 
 
 def cell_to_json(cell: SweepCell) -> Dict[str, Any]:
@@ -155,13 +160,19 @@ class StoreBackend(abc.ABC):
         state -- enqueue never resets a done/failed/claimed row)."""
 
     @abc.abstractmethod
+    def requeue(self, key: str) -> bool:
+        """Return a ``done`` row to ``queued`` with no lease history
+        (its entry no longer verifies); False for any other state."""
+
+    @abc.abstractmethod
     def claim(
         self, worker: str, now: float, ttl: float, max_generations: int
     ) -> Optional[Claim]:
         """Claim the next available cell (queued, or claimed with an
         expired lease) under a fresh lease generation; None when nothing
-        is claimable.  Cells past ``max_generations`` are marked failed
-        as a side effect rather than handed out."""
+        is claimable.  Cells past ``max_generations`` are marked failed,
+        and cells whose entry :func:`verifies` are marked done, as side
+        effects rather than handed out."""
 
     @abc.abstractmethod
     def mark_done(self, key: str) -> None:
@@ -193,65 +204,21 @@ class StoreBackend(abc.ABC):
 _LEASE_RE = re.compile(r"\.g(\d+)\.lease$")
 
 
-class LocalDirBackend(StoreBackend):
-    """Directory-of-JSON-files backend, byte-compatible with
-    :class:`repro.bench.cache.DiskCache`.
+class LocalDirBackend(DiskCache, StoreBackend):
+    """Directory-of-JSON-files backend: a
+    :class:`repro.bench.cache.DiskCache`, whose entry methods are the
+    result half of this interface, plus a work queue.
 
-    Results live at the directory root under the exact names and bytes
-    the disk cache writes.  The queue lives under ``queue/``: one
-    ``<key>.cell.json`` item per cell plus one ``<key>.g<N>.lease`` file
-    per lease generation.  Exclusive file creation makes lease grants
-    atomic; lease files carry ``{worker, expires}`` and fall back to
-    ``mtime + ttl`` if a claimer died between creating and filling one.
+    The queue lives under ``queue/``: one ``<key>.cell.json`` item per
+    cell plus one ``<key>.g<N>.lease`` file per lease generation.
+    Exclusive file creation makes lease grants atomic; lease files carry
+    ``{worker, expires}`` and fall back to ``mtime + ttl`` if a claimer
+    died between creating and filling one.
     """
-
-    def __init__(self, root: Union[str, pathlib.Path]) -> None:
-        self.root = pathlib.Path(root)
 
     @property
     def queue_dir(self) -> pathlib.Path:
         return self.root / "queue"
-
-    # -- results ------------------------------------------------------
-    def _entry_path(
-        self, app: str, dataset: str, label: str, key: str
-    ) -> pathlib.Path:
-        return self.root / entry_filename(app, dataset, label, key)
-
-    def load_entry(
-        self, app: str, dataset: str, label: str, key: str
-    ) -> Optional[Dict[str, Any]]:
-        return self._read_json(self._entry_path(app, dataset, label, key))
-
-    def save_entry(
-        self, app: str, dataset: str, label: str, key: str,
-        entry: Dict[str, Any],
-    ) -> None:
-        atomic_write_text(
-            self._entry_path(app, dataset, label, key), dump_entry(entry)
-        )
-
-    def find_entry(self, key: str) -> Optional[Dict[str, Any]]:
-        # The key is matched literally: glob metacharacters in it must
-        # not select some other cell's entry.
-        for path in self.root.glob(f"*-{glob.escape(key)}.json"):
-            entry = self._read_json(path)
-            if entry is not None:
-                return entry
-        return None
-
-    def result_count(self) -> int:
-        if not self.root.is_dir():
-            return 0
-        return sum(1 for _ in self.root.glob("*.json"))
-
-    @staticmethod
-    def _read_json(path: pathlib.Path) -> Optional[Dict[str, Any]]:
-        try:
-            data = json.loads(path.read_text())
-        except (OSError, ValueError):
-            return None
-        return data if isinstance(data, dict) else None
 
     # -- queue --------------------------------------------------------
     def _item_path(self, key: str) -> pathlib.Path:
@@ -305,6 +272,16 @@ class LocalDirBackend(StoreBackend):
             fh.write(json.dumps(item, sort_keys=True, indent=1) + "\n")
         return True
 
+    def requeue(self, key: str) -> bool:
+        item = self._read_json(self._item_path(key))
+        if item is None or item.get("state") != "done":
+            return False
+        for path in self.queue_dir.glob(f"{key}.g*.lease"):
+            with contextlib.suppress(FileNotFoundError):
+                path.unlink()
+        self._rewrite_item(key, "queued", None)
+        return True
+
     def claim(
         self, worker: str, now: float, ttl: float, max_generations: int
     ) -> Optional[Claim]:
@@ -323,7 +300,7 @@ class LocalDirBackend(StoreBackend):
                     f"(max_generations={max_generations})",
                 )
                 continue
-            if self.find_entry(entry.key) is not None:
+            if verifies(self.find_entry(entry.key), entry.key):
                 # A racing generation already published the result.
                 self.mark_done(entry.key)
                 continue
@@ -395,6 +372,15 @@ class LocalDirBackend(StoreBackend):
 # ----------------------------------------------------------------------
 # SQLite backend
 # ----------------------------------------------------------------------
+def _decode(text: str) -> Optional[Dict[str, Any]]:
+    """A stored entry's JSON object; None when it is not one."""
+    try:
+        data = json.loads(text)
+    except ValueError:
+        return None
+    return data if isinstance(data, dict) else None
+
+
 class SqliteBackend(StoreBackend):
     """Single-file SQLite store (WAL journal, immediate-mode claims).
 
@@ -508,13 +494,7 @@ class SqliteBackend(StoreBackend):
             row = con.execute(
                 "SELECT entry FROM results WHERE key = ?", (key,)
             ).fetchone()
-        if row is None:
-            return None
-        try:
-            data = json.loads(row[0])
-        except ValueError:
-            return None
-        return data if isinstance(data, dict) else None
+        return None if row is None else _decode(row[0])
 
     def result_count(self) -> int:
         with self._read() as con:
@@ -557,10 +537,10 @@ class SqliteBackend(StoreBackend):
                         ),
                     )
                     continue
-                done = con.execute(
-                    "SELECT 1 FROM results WHERE key = ?", (key,)
+                stored = con.execute(
+                    "SELECT entry FROM results WHERE key = ?", (key,)
                 ).fetchone()
-                if done is not None:
+                if stored is not None and verifies(_decode(stored[0]), key):
                     con.execute(
                         "UPDATE queue SET state = 'done', error = NULL "
                         "WHERE key = ?",
@@ -583,6 +563,16 @@ class SqliteBackend(StoreBackend):
                 generation=generation + 1, expires=now + ttl,
             )
 
+    def requeue(self, key: str) -> bool:
+        with self._connect() as con:
+            cur = con.execute(
+                "UPDATE queue SET state = 'queued', worker = NULL, "
+                "lease_expires = NULL, generation = 0, error = NULL "
+                "WHERE key = ? AND state = 'done'",
+                (key,),
+            )
+        return cur.rowcount > 0
+
     def mark_done(self, key: str) -> None:
         with self._connect() as con:
             con.execute(
@@ -597,35 +587,15 @@ class SqliteBackend(StoreBackend):
                 (error, key),
             )
 
-    def queue_entries(self) -> List[QueueEntry]:
-        with self._read() as con:
-            rows = con.execute(
-                "SELECT key, seq, cell, state, worker, lease_expires, "
-                "generation, error FROM queue ORDER BY seq, key"
-            ).fetchall()
-        entries: List[QueueEntry] = []
-        for key, seq, cell_json, state, worker, expires, gen, error in rows:
-            try:
-                cell = cell_from_json(json.loads(cell_json))
-            except (KeyError, TypeError, ValueError):
-                continue
-            entries.append(
-                QueueEntry(
-                    key=key, seq=seq, cell=cell, state=state, worker=worker,
-                    lease_expires=expires, generation=gen, error=error,
-                )
-            )
-        return entries
+    _QUEUE_ROW = (
+        "SELECT key, seq, cell, state, worker, lease_expires, generation, "
+        "error FROM queue "
+    )
 
-    def queue_lookup(self, key: str) -> Optional[QueueEntry]:
-        with self._read() as con:
-            row = con.execute(
-                "SELECT key, seq, cell, state, worker, lease_expires, "
-                "generation, error FROM queue WHERE key = ?",
-                (key,),
-            ).fetchone()
-        if row is None:
-            return None
+    @staticmethod
+    def _queue_entry(row: Tuple[Any, ...]) -> Optional[QueueEntry]:
+        """One queue row as a :class:`QueueEntry`; None when its cell
+        spelling is unreadable."""
         key, seq, cell_json, state, worker, expires, gen, error = row
         try:
             cell = cell_from_json(json.loads(cell_json))
@@ -635,6 +605,19 @@ class SqliteBackend(StoreBackend):
             key=key, seq=seq, cell=cell, state=state, worker=worker,
             lease_expires=expires, generation=gen, error=error,
         )
+
+    def queue_entries(self) -> List[QueueEntry]:
+        with self._read() as con:
+            rows = con.execute(self._QUEUE_ROW + "ORDER BY seq, key").fetchall()
+        entries = [self._queue_entry(row) for row in rows]
+        return [entry for entry in entries if entry is not None]
+
+    def queue_lookup(self, key: str) -> Optional[QueueEntry]:
+        with self._read() as con:
+            row = con.execute(
+                self._QUEUE_ROW + "WHERE key = ?", (key,)
+            ).fetchone()
+        return None if row is None else self._queue_entry(row)
 
 
 # ----------------------------------------------------------------------
@@ -744,20 +727,18 @@ class ResultStore:
         return key
 
     def has_result(self, cell: SweepCell) -> bool:
-        entry = self.backend.load_entry(
-            cell.app, cell.dataset, cell.label, cell.key
+        return verifies(
+            self.backend.load_entry(cell.app, cell.dataset, cell.label, cell.key),
+            cell.key,
         )
-        if entry is None:
-            return False
-        try:
-            parse_entry(entry, cell.key)
-        except (ValueError, KeyError, TypeError):
-            return False
-        return True
 
     # -- queue --------------------------------------------------------
     def submit(self, cells: Sequence[SweepCell]) -> SubmitReport:
-        """Enqueue every cell that is neither stored nor already queued."""
+        """Enqueue every cell that is neither stored nor already queued.
+
+        A ``done`` row whose entry no longer verifies (torn or edited
+        after the fact) goes back to ``queued`` and counts as enqueued.
+        """
         report = SubmitReport(requested=len(cells))
         unique = dedupe_cells(cells)
         report.deduped = len(unique)
@@ -769,7 +750,7 @@ class ResultStore:
                 if self.backend.queue_lookup(key) is not None:
                     self.backend.mark_done(key)
                 continue
-            if self.backend.enqueue(key, cell, seq):
+            if self.backend.enqueue(key, cell, seq) or self.backend.requeue(key):
                 report.enqueued += 1
             else:
                 report.already_queued += 1
@@ -790,7 +771,7 @@ class ResultStore:
     def fail(self, claim: Claim, error: str) -> None:
         """Record a deterministic failure (no retry: the same inputs
         would fail the same way on every worker)."""
-        if self.backend.find_entry(claim.key) is not None:
+        if verifies(self.backend.find_entry(claim.key), claim.key):
             self.backend.mark_done(claim.key)
             return
         self.backend.mark_failed(claim.key, error)

@@ -95,9 +95,9 @@ class TestDiskCache:
     def test_clear(self, tmp_path, case):
         disk = DiskCache(tmp_path)
         disk.store("Jacobi", "1Kx1K", "4K", config_for("4K"), case)
-        assert len(disk) == 1
+        assert disk.result_count() == 1
         assert disk.clear() == 1
-        assert len(disk) == 0
+        assert disk.result_count() == 0
 
 
 class TestResultCacheDiskLayer:

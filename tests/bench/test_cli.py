@@ -2,15 +2,8 @@
 
 import pytest
 
-from repro.bench.cli import COMMANDS, _cells_for, main
+from repro.bench.cli import main
 from repro.bench.harness import ResultCache
-
-
-def test_commands_cover_all_experiments():
-    assert set(COMMANDS) == {
-        "table1", "figure1", "figure2", "figure3", "micro", "ablation",
-        "protocols",
-    }
 
 
 def test_micro_via_cli(capsys, tmp_path):
@@ -34,14 +27,6 @@ def test_bad_jobs_rejected():
 def test_nothing_to_do_rejected():
     with pytest.raises(SystemExit):
         main([])
-
-
-def test_cells_for_covers_every_sweep_experiment():
-    for name in (
-        "table1", "figure1", "figure2", "figure3", "ablation", "protocols",
-    ):
-        assert _cells_for([name]), name
-    assert _cells_for(["micro"]) == []  # micro has no sweep cells
 
 
 def test_unknown_protocol_rejected():

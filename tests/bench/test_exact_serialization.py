@@ -18,7 +18,7 @@ import typing
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bench.cli import _cells_for
+from repro.bench.experiments import cells_of, served
 from repro.bench.golden import (
     GOLDEN_DIR,
     GOLDEN_FIELDS,
@@ -30,8 +30,6 @@ from repro.faults.plan import FaultPlan
 from repro.protocols import protocol_names
 from repro.sim.config import DEFAULT_PROTOCOL, SimConfig
 
-EXPERIMENTS = ("table1", "figure1", "figure2", "figure3", "ablation",
-               "protocols")
 SCALARS = (int, float, bool, str)
 
 
@@ -75,7 +73,7 @@ def assert_case_exact(case: CaseResult) -> None:
 
 
 def test_every_experiment_config_matches_the_reference():
-    cells = [c for name in EXPERIMENTS for c in _cells_for([name])]
+    cells = cells_of(served())
     assert len(cells) == 254
     for cell in cells:
         assert_config_exact(config_for(cell.label, **cell.kwargs))

@@ -5,7 +5,7 @@ Figure 1 is narrowed to the four precomputed Jacobi cells
 output from a store without running the paper's full coarse-grained
 sweep.  One test binds a real socket to exercise the HTTP layer
 (``If-None-Match`` revalidation); everything else drives
-:class:`FarmService` directly.
+:class:`FarmService` directly, including from many threads at once.
 """
 
 import json
@@ -15,7 +15,9 @@ import urllib.request
 
 import pytest
 
-from repro.bench import figures
+from benchmarks.perf.storeload import MIX, REQUESTS_PER_PASS, request_sequence
+from repro.bench import figures, harness
+from repro.bench.cache import DiskCache
 from repro.bench.golden import GOLDEN_FIELDS
 from repro.bench.harness import ResultCache
 from repro.farm.service import FarmService, make_server
@@ -138,7 +140,6 @@ class TestExperiments:
     def test_complete_experiment_txt_renders_bench_output(
         self, full_store, jacobi_figure1
     ):
-        previous_compute = ResultCache._compute
         response = FarmService(full_store).handle(
             "/v1/experiments/figure1.txt"
         )
@@ -146,9 +147,119 @@ class TestExperiments:
         text = response.body.decode()
         assert "Figure 1" in text
         assert "Jacobi" in text
-        # Rendering restored the process-wide cache knobs.
-        assert ResultCache._compute == previous_compute
-        assert ResultCache.disk() is None
+
+
+class TestRenderIsolation:
+    """A text render reads only the results its request fetched: it
+    leaves the process-wide memo alone, needs no lock, and a cell its
+    experiment does not declare is a 500 naming that cell."""
+
+    def test_render_leaves_the_process_memo_alone(
+        self, full_store, jacobi_figure1, jacobi_results, monkeypatch,
+        tmp_path,
+    ):
+        entered, release = threading.Event(), threading.Event()
+        real_table = figures.render_breakdown_table
+
+        def blocking_table(*args, **kwargs):
+            entered.set()
+            assert release.wait(30)
+            return real_table(*args, **kwargs)
+
+        ran = []
+
+        def fake_run_case(app, dataset, label, **extra):
+            ran.append((app, dataset, label))
+            return jacobi_results[label]
+
+        disk = DiskCache(tmp_path / "cache")
+        monkeypatch.setattr(figures, "render_breakdown_table", blocking_table)
+        monkeypatch.setattr(harness, "run_case", fake_run_case)
+        monkeypatch.setattr(ResultCache, "_cells", {})
+        monkeypatch.setattr(ResultCache, "_disk", disk)
+        svc = FarmService(full_store)
+        responses = []
+        renderer = threading.Thread(target=lambda: responses.append(
+            svc.handle("/v1/experiments/figure1.txt")
+        ))
+        renderer.start()
+        try:
+            assert entered.wait(30)
+            # Mid-render: another thread's lookup computes an uncached
+            # cell through the disk layer it configured.
+            got = ResultCache.get("Jacobi", "1Kx1K", "4K")
+            disk_mid_render = ResultCache.disk()
+        finally:
+            release.set()
+            renderer.join(30)
+        assert ran == [("Jacobi", "1Kx1K", "4K")]
+        assert got == jacobi_results["4K"]
+        assert disk_mid_render is disk
+        assert disk.stores == 1
+        assert [r.status for r in responses] == [200]
+
+    @pytest.mark.parametrize("kind", ["local", "sqlite"])
+    def test_threads_replay_the_store_serve_mix_byte_identically(
+        self, kind, tmp_path, jacobi_figure1, jacobi_cells, jacobi_results
+    ):
+        spec = (str(tmp_path / "store") if kind == "local"
+                else f"sqlite:{tmp_path / 'store.sqlite'}")
+        store = open_store(spec)
+        for label, cell in jacobi_cells.items():
+            store.put_result(cell, jacobi_results[label])
+        svc = FarmService(store)
+        key = jacobi_cells["4K"].key
+        etag = svc.handle(MIX["experiment_json"][1]).etag
+
+        def replay(kinds):
+            out = []
+            for route in kinds:
+                path = MIX[route][1].format(key=key)
+                validator = etag if route == "not_modified" else None
+                response = svc.handle(path, validator)
+                out.append((route, response.status, response.etag,
+                            response.body))
+            return out
+
+        serial = {}
+        for route, *response in replay(request_sequence(0, REQUESTS_PER_PASS)):
+            assert serial.setdefault(route, response) == response
+        assert {r: resp[0] for r, resp in serial.items()} == {
+            r: status for r, (_, _, status) in MIX.items()
+        }
+
+        start = threading.Barrier(8)
+        replies = [[] for _ in range(8)]
+
+        def client(i):
+            start.wait()
+            replies[i] = replay(request_sequence(i + 1, REQUESTS_PER_PASS))
+
+        threads = [threading.Thread(target=client, args=(i,)) for i in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+        store.close()
+        for got in replies:
+            assert len(got) == REQUESTS_PER_PASS
+            for route, *response in got:
+                assert response == serial[route], route
+
+    def test_undeclared_cell_answers_500_naming_it(
+        self, full_store, jacobi_figure1, jacobi_cells, monkeypatch
+    ):
+        declared = figures.cells
+        monkeypatch.setattr(figures, "cells", lambda which: [
+            c for c in declared(which) if c.label != "Dyn"
+        ])
+        response = FarmService(full_store).handle(
+            "/v1/experiments/figure1.txt"
+        )
+        assert response.status == 500
+        error = _json_body(response)["error"]
+        assert "Jacobi/1Kx1K@Dyn" in error
+        assert jacobi_cells["Dyn"].key in error
 
 
 class TestCells:

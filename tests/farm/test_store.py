@@ -232,6 +232,62 @@ class TestQueue:
         assert status.claimed == 0 and status.expired == 1
 
 
+class TestUnverifiedEntries:
+    """A stored entry counts as published only when it verifies: a torn
+    or hand-edited entry never keeps its cell from being recomputed."""
+
+    @staticmethod
+    def _tamper(store, cell):
+        # Valid JSON, right key and schema, wrong digest.
+        entry = store.backend.find_entry(cell.key)
+        entry["result"]["useful_messages"] += 1
+        store.backend.save_entry(
+            cell.app, cell.dataset, cell.label, cell.key, entry
+        )
+
+    def test_resubmit_requeues_a_done_cell_whose_entry_stopped_verifying(
+        self, store, jacobi_cells, jacobi_results
+    ):
+        cell = jacobi_cells["4K"]
+        store.submit([cell])
+        store.complete(store.claim("w1"), jacobi_results["4K"])
+        self._tamper(store, cell)
+        assert store.get_result(cell) is None
+        report = store.submit([cell])
+        assert (report.enqueued, report.already_queued) == (1, 0)
+        status = store.status()
+        assert (status.queued, status.done) == (1, 0)
+        claim = store.claim("w2")
+        assert claim is not None and claim.key == cell.key
+        assert claim.generation == 1
+        store.complete(claim, jacobi_results["4K"])
+        assert store.get_result(cell) == jacobi_results["4K"]
+        assert store.status().done == 1
+        assert store.submit([cell]).already_done == 1
+
+    def test_claim_hands_out_a_cell_whose_entry_does_not_verify(
+        self, store, jacobi_cells, jacobi_results
+    ):
+        cell = jacobi_cells["4K"]
+        store.put_result(cell, jacobi_results["4K"])
+        self._tamper(store, cell)
+        assert store.submit([cell]).enqueued == 1
+        claim = store.claim("w1")
+        assert claim is not None and claim.key == cell.key
+
+    def test_fail_is_recorded_over_an_entry_that_does_not_verify(
+        self, store, jacobi_cells, jacobi_results
+    ):
+        cell = jacobi_cells["4K"]
+        store.submit([cell])
+        claim = store.claim("w1")
+        store.put_result(cell, jacobi_results["4K"])
+        self._tamper(store, cell)
+        store.fail(claim, "retransmission budget exhausted")
+        status = store.status()
+        assert (status.failed, status.done) == (1, 0)
+
+
 class TestParity:
     """The two backends expose identical observable behavior."""
 

@@ -68,6 +68,13 @@ def test_figure1_json_derives_each_cell_key_once(figure1_store, key_calls):
     assert key_calls[0] == 16
 
 
+def test_figure1_txt_derives_each_cell_key_twice(figure1_store, key_calls):
+    response = FarmService(figure1_store).handle("/v1/experiments/figure1.txt")
+    assert response.status == 200
+    # Once for the declared cell, once for the renderer's lookup.
+    assert key_calls[0] == 32
+
+
 def test_warm_golden_check_key_count_is_pinned(
     tmp_path, figure1_results, monkeypatch, key_calls
 ):
