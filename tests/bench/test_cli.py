@@ -3,7 +3,15 @@
 import pytest
 
 from repro.bench.cli import main
+from repro.bench.experiments import cells_of, rendered
 from repro.bench.harness import ResultCache
+
+
+def test_commands_cover_all_experiments():
+    assert set(rendered()) == {
+        "table1", "figure1", "figure2", "figure3", "micro", "ablation",
+        "protocols",
+    }
 
 
 def test_micro_via_cli(capsys, tmp_path):
@@ -27,6 +35,14 @@ def test_bad_jobs_rejected():
 def test_nothing_to_do_rejected():
     with pytest.raises(SystemExit):
         main([])
+
+
+def test_cells_for_covers_every_sweep_experiment():
+    for name in (
+        "table1", "figure1", "figure2", "figure3", "ablation", "protocols",
+    ):
+        assert cells_of([name]), name
+    assert cells_of(["micro"]) == []  # micro has no sweep cells
 
 
 def test_unknown_protocol_rejected():

@@ -12,6 +12,12 @@ from repro.sim.config import DEFAULT_PROTOCOL
 
 
 class TestSweepCells:
+    def test_sweep_names_cover_every_experiment(self):
+        assert sweep_names() == sorted([
+            "table1", "figure1", "figure2", "figure3", "ablation",
+            "protocols", "golden", "chaos",
+        ])
+
     def test_golden_app_filter(self):
         cells = sweep_cells(["golden"], apps=["Jacobi"])
         assert cells == [
