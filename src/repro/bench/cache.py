@@ -188,6 +188,26 @@ def parse_entry(entry: Dict[str, Any], key: str) -> "CaseResult":
     return result
 
 
+def parsed(entry: Optional[Dict[str, Any]], key: str) -> "Optional[CaseResult]":
+    """:func:`parse_entry`'s result, or None when ``entry`` is missing
+    or does not verify against ``key`` (the one definition of a miss)."""
+    if entry is None:
+        return None
+    try:
+        return parse_entry(entry, key)
+    except (ValueError, KeyError, TypeError):
+        return None
+
+
+def decode_entry(text: str) -> Optional[Dict[str, Any]]:
+    """A stored entry's JSON object; None when ``text`` is not one."""
+    try:
+        data = json.loads(text)
+    except ValueError:
+        return None
+    return data if isinstance(data, dict) else None
+
+
 def dump_entry(entry: Dict[str, Any]) -> str:
     """An entry's on-disk serialization (stable, human-diffable)."""
     return json.dumps(entry, sort_keys=True, indent=1) + "\n"
@@ -240,10 +260,10 @@ class DiskCache:
         """A JSON object file's contents; None when it is missing,
         unreadable, truncated or not an object."""
         try:
-            data = json.loads(path.read_text())
+            text = path.read_text()
         except (OSError, ValueError):
             return None
-        return data if isinstance(data, dict) else None
+        return decode_entry(text)
 
     def load_entry(
         self, app: str, dataset: str, label: str, key: str
@@ -285,17 +305,12 @@ class DiskCache:
         holds it (it is derived from ``config`` otherwise)."""
         if key is None:
             key = cell_key(app, dataset, config)
-        entry = self.load_entry(app, dataset, label, key)
-        if entry is not None:
-            try:
-                result = parse_entry(entry, key)
-            except (ValueError, KeyError, TypeError):
-                pass
-            else:
-                self.hits += 1
-                return result
-        self.misses += 1
-        return None
+        result = parsed(self.load_entry(app, dataset, label, key), key)
+        if result is None:
+            self.misses += 1
+        else:
+            self.hits += 1
+        return result
 
     def store(
         self, app: str, dataset: str, label: str, config: SimConfig,

@@ -44,11 +44,11 @@ def _chaos() -> List[SweepCell]:
     return chaos_cells([default_plan(seed) for seed in range(3)])
 
 
-#: Name -> cells and renderer.  The lambdas read module attributes at
-#: call time, so a narrowed ``figures.FIGURE1_CASES`` narrows both.
+#: Name -> cells and renderer.  The figure entries look up
+#: ``figures.cells`` at call time, so tests can monkeypatch it.
 EXPERIMENTS: Dict[str, Experiment] = {
     "table1": Experiment(
-        lambda: table1.cells(),
+        table1.cells,
         lambda get: table1.render_table1(table1.build_table1(get)),
     ),
     "figure1": Experiment(
@@ -61,12 +61,12 @@ EXPERIMENTS: Dict[str, Experiment] = {
         lambda: figures.cells("figure3"), lambda get: figures.figure3(get)[1]
     ),
     "micro": Experiment(render=lambda get: micro.render(micro.run_all())),
-    "ablation": Experiment(lambda: ablation.cells(), _ablation),
+    "ablation": Experiment(ablation.cells, _ablation),
     "protocols": Experiment(
-        lambda: protocol_sweep.cells(),
+        protocol_sweep.cells,
         lambda get: protocol_sweep.render(protocol_sweep.sweep_rows(get)),
     ),
-    "golden": Experiment(cells=lambda: golden.golden_cells()),
+    "golden": Experiment(cells=golden.golden_cells),
     "chaos": Experiment(cells=_chaos),
 }
 

@@ -49,7 +49,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from repro.bench.cache import DiskCache, atomic_write_text, build_entry, parse_entry
+from repro.bench.cache import (
+    DiskCache, atomic_write_text, build_entry, decode_entry, parsed,
+)
 from repro.bench.harness import CaseResult, config_for
 from repro.bench.pool import SweepCell, dedupe_cells
 
@@ -65,18 +67,6 @@ DEFAULT_LEASE_TTL = 300.0
 #: Default bound on lease generations per cell: a cell that kills its
 #: worker this many times is abandoned as failed, not retried forever.
 DEFAULT_MAX_GENERATIONS = 3
-
-
-def verifies(entry: Optional[Dict[str, Any]], key: str) -> bool:
-    """Whether ``entry`` is a published result for ``key`` (present, and
-    :func:`repro.bench.cache.parse_entry` accepts it)."""
-    if entry is None:
-        return False
-    try:
-        parse_entry(entry, key)
-    except (ValueError, KeyError, TypeError):
-        return False
-    return True
 
 
 def cell_to_json(cell: SweepCell) -> Dict[str, Any]:
@@ -156,13 +146,9 @@ class StoreBackend(abc.ABC):
     # -- queue --------------------------------------------------------
     @abc.abstractmethod
     def enqueue(self, key: str, cell: SweepCell, seq: int) -> bool:
-        """Add one cell to the queue; False when already present (in any
-        state -- enqueue never resets a done/failed/claimed row)."""
-
-    @abc.abstractmethod
-    def requeue(self, key: str) -> bool:
-        """Return a ``done`` row to ``queued`` with no lease history
-        (its entry no longer verifies); False for any other state."""
+        """Add one cell to the queue, or return its ``done`` row to
+        ``queued`` with no lease history (the caller found no verifying
+        entry); False when the row is queued, claimed or failed."""
 
     @abc.abstractmethod
     def claim(
@@ -171,7 +157,8 @@ class StoreBackend(abc.ABC):
         """Claim the next available cell (queued, or claimed with an
         expired lease) under a fresh lease generation; None when nothing
         is claimable.  Cells past ``max_generations`` are marked failed,
-        and cells whose entry :func:`verifies` are marked done, as side
+        and cells whose entry :func:`repro.bench.cache.parsed` accepts
+        are marked done, as side
         effects rather than handed out."""
 
     @abc.abstractmethod
@@ -267,19 +254,16 @@ class LocalDirBackend(DiskCache, StoreBackend):
                 self._item_path(key), os.O_CREAT | os.O_EXCL | os.O_WRONLY
             )
         except FileExistsError:
-            return False
+            present = self._read_json(self._item_path(key))
+            if present is None or present.get("state") != "done":
+                return False
+            for path in self.queue_dir.glob(f"{key}.g*.lease"):
+                with contextlib.suppress(FileNotFoundError):
+                    path.unlink()
+            self._rewrite_item(key, "queued", None)
+            return True
         with os.fdopen(fd, "w") as fh:
             fh.write(json.dumps(item, sort_keys=True, indent=1) + "\n")
-        return True
-
-    def requeue(self, key: str) -> bool:
-        item = self._read_json(self._item_path(key))
-        if item is None or item.get("state") != "done":
-            return False
-        for path in self.queue_dir.glob(f"{key}.g*.lease"):
-            with contextlib.suppress(FileNotFoundError):
-                path.unlink()
-        self._rewrite_item(key, "queued", None)
         return True
 
     def claim(
@@ -300,7 +284,7 @@ class LocalDirBackend(DiskCache, StoreBackend):
                     f"(max_generations={max_generations})",
                 )
                 continue
-            if verifies(self.find_entry(entry.key), entry.key):
+            if parsed(self.find_entry(entry.key), entry.key) is not None:
                 # A racing generation already published the result.
                 self.mark_done(entry.key)
                 continue
@@ -372,15 +356,6 @@ class LocalDirBackend(DiskCache, StoreBackend):
 # ----------------------------------------------------------------------
 # SQLite backend
 # ----------------------------------------------------------------------
-def _decode(text: str) -> Optional[Dict[str, Any]]:
-    """A stored entry's JSON object; None when it is not one."""
-    try:
-        data = json.loads(text)
-    except ValueError:
-        return None
-    return data if isinstance(data, dict) else None
-
-
 class SqliteBackend(StoreBackend):
     """Single-file SQLite store (WAL journal, immediate-mode claims).
 
@@ -494,7 +469,7 @@ class SqliteBackend(StoreBackend):
             row = con.execute(
                 "SELECT entry FROM results WHERE key = ?", (key,)
             ).fetchone()
-        return None if row is None else _decode(row[0])
+        return None if row is None else decode_entry(row[0])
 
     def result_count(self) -> int:
         with self._read() as con:
@@ -505,7 +480,10 @@ class SqliteBackend(StoreBackend):
     def enqueue(self, key: str, cell: SweepCell, seq: int) -> bool:
         with self._connect() as con:
             cur = con.execute(
-                "INSERT OR IGNORE INTO queue (key, seq, cell) VALUES (?, ?, ?)",
+                "INSERT INTO queue (key, seq, cell) VALUES (?, ?, ?) "
+                "ON CONFLICT(key) DO UPDATE SET state = 'queued', "
+                "worker = NULL, lease_expires = NULL, generation = 0, "
+                "error = NULL WHERE queue.state = 'done'",
                 (key, seq, json.dumps(cell_to_json(cell), sort_keys=True)),
             )
         return cur.rowcount > 0
@@ -540,7 +518,10 @@ class SqliteBackend(StoreBackend):
                 stored = con.execute(
                     "SELECT entry FROM results WHERE key = ?", (key,)
                 ).fetchone()
-                if stored is not None and verifies(_decode(stored[0]), key):
+                if (
+                    stored is not None
+                    and parsed(decode_entry(stored[0]), key) is not None
+                ):
                     con.execute(
                         "UPDATE queue SET state = 'done', error = NULL "
                         "WHERE key = ?",
@@ -562,16 +543,6 @@ class SqliteBackend(StoreBackend):
                 cell=cell, key=key, worker=worker,
                 generation=generation + 1, expires=now + ttl,
             )
-
-    def requeue(self, key: str) -> bool:
-        with self._connect() as con:
-            cur = con.execute(
-                "UPDATE queue SET state = 'queued', worker = NULL, "
-                "lease_expires = NULL, generation = 0, error = NULL "
-                "WHERE key = ? AND state = 'done'",
-                (key,),
-            )
-        return cur.rowcount > 0
 
     def mark_done(self, key: str) -> None:
         with self._connect() as con:
@@ -705,17 +676,15 @@ class ResultStore:
         """The stored result of one cell, or None (corrupt or
         digest-mismatched entries count as misses)."""
         key = cell.key
-        entry = self.backend.load_entry(cell.app, cell.dataset, cell.label, key)
-        if entry is not None:
-            try:
-                result = parse_entry(entry, key)
-            except (ValueError, KeyError, TypeError):
-                entry = None
-            else:
-                self.hits += 1
-                return result
-        self.misses += 1
-        return None
+        result = parsed(
+            self.backend.load_entry(cell.app, cell.dataset, cell.label, key),
+            key,
+        )
+        if result is None:
+            self.misses += 1
+        else:
+            self.hits += 1
+        return result
 
     def put_result(self, cell: SweepCell, result: CaseResult) -> str:
         """Store one cell's result; returns its key.  Idempotent: the
@@ -727,10 +696,10 @@ class ResultStore:
         return key
 
     def has_result(self, cell: SweepCell) -> bool:
-        return verifies(
-            self.backend.load_entry(cell.app, cell.dataset, cell.label, cell.key),
-            cell.key,
+        entry = self.backend.load_entry(
+            cell.app, cell.dataset, cell.label, cell.key
         )
+        return parsed(entry, cell.key) is not None
 
     # -- queue --------------------------------------------------------
     def submit(self, cells: Sequence[SweepCell]) -> SubmitReport:
@@ -750,7 +719,7 @@ class ResultStore:
                 if self.backend.queue_lookup(key) is not None:
                     self.backend.mark_done(key)
                 continue
-            if self.backend.enqueue(key, cell, seq) or self.backend.requeue(key):
+            if self.backend.enqueue(key, cell, seq):
                 report.enqueued += 1
             else:
                 report.already_queued += 1
@@ -771,7 +740,7 @@ class ResultStore:
     def fail(self, claim: Claim, error: str) -> None:
         """Record a deterministic failure (no retry: the same inputs
         would fail the same way on every worker)."""
-        if verifies(self.backend.find_entry(claim.key), claim.key):
+        if parsed(self.backend.find_entry(claim.key), claim.key) is not None:
             self.backend.mark_done(claim.key)
             return
         self.backend.mark_failed(claim.key, error)

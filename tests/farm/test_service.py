@@ -147,6 +147,8 @@ class TestExperiments:
         text = response.body.decode()
         assert "Figure 1" in text
         assert "Jacobi" in text
+        # Rendering left the process-wide cache detached from any disk.
+        assert ResultCache.disk() is None
 
 
 class TestRenderIsolation:
