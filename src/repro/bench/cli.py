@@ -7,8 +7,13 @@
     python -m repro.bench --check
     python -m repro.bench --refresh-golden
 
-Each command prints the paper-shaped table and (with ``--out``) writes
-it next to the CSV data, exactly like the pytest-benchmark suite.
+The CLI does two things: it runs the experiment registry's experiments
+and it runs the golden gate.  Each experiment prints the paper-shaped
+table and (with ``--out``) writes it next to the CSV data, exactly like
+the pytest-benchmark suite.  Timelines and per-barrier-epoch cost of one
+cell come from ``python -m repro.trace``; host time from the benchmark
+(``python -m benchmarks.perf``, compared across commits by
+``tools/ab.py``).
 
 Sweep cells are cached on disk under ``repro_results/cache/`` (keyed by
 code version + configuration, so any source change invalidates them) and
@@ -25,28 +30,9 @@ import pathlib
 import sys
 from typing import Optional, Sequence, Tuple
 
-from repro.bench import cache, figures, golden, pool, profile
+from repro.bench import cache, golden, pool
 from repro.bench.experiments import EXPERIMENTS, cells_of, rendered
 from repro.bench.harness import ResultCache
-
-
-def _dump_traces(outdir: pathlib.Path) -> None:
-    """Write Chrome-trace timelines of the figure-1 applications (one
-    traced 4 KB run each) into ``outdir``.  Traced runs bypass the
-    result cache: the recorder is observational, but cached results do
-    not carry one."""
-    from repro.apps.base import get_app, run_app
-    from repro.bench.harness import config_for
-    from repro.trace.export import write_chrome_trace
-
-    outdir.mkdir(parents=True, exist_ok=True)
-    for app_name, dataset in figures.FIGURE1_CASES:
-        res = run_app(
-            get_app(app_name), dataset, config_for("4K", trace=True)
-        )
-        path = outdir / f"{app_name.lower()}-{dataset}-4K.trace.json"
-        write_chrome_trace(path, res.trace, label=f"{app_name}/{dataset} 4K")
-        print(f"wrote {path} ({len(res.trace.events)} events)")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -149,40 +135,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "baselines -- the scalar-vs-bulk equivalence gate "
         "(default: %(default)s)",
     )
-    parser.add_argument(
-        "--trace-out",
-        type=pathlib.Path,
-        default=None,
-        help="also write Chrome-trace timelines of the figure-1 "
-        "applications (viewable in Perfetto) into this directory",
-    )
-    parser.add_argument(
-        "--profile-case",
-        type=str,
-        default=profile.DEFAULT_CASE,
-        metavar="APP,DATASET,LABEL",
-        help="cell the 'profile' experiment measures "
-        "(default: %(default)s, the heaviest full-size figure-1 cell)",
-    )
-    parser.add_argument(
-        "--profile-out",
-        type=pathlib.Path,
-        default=profile.DEFAULT_OUT,
-        help="directory the 'profile' experiment writes its .txt/.json "
-        "reports into (default: %(default)s)",
-    )
     args = parser.parse_args(argv)
     doing_golden = args.check or args.refresh_golden
-    if not args.experiments and args.trace_out is None and not doing_golden:
+    if not args.experiments and not doing_golden:
         parser.error(
-            "nothing to do: give experiments and/or --trace-out / --check "
-            "/ --refresh-golden"
+            "nothing to do: give experiments and/or --check / --refresh-golden"
         )
     for name in args.experiments:
-        if name not in ("all", "profile") and name not in rendered():
+        if name != "all" and name not in rendered():
             parser.error(
                 f"unknown experiment {name!r} (choose from "
-                f"{', '.join(sorted(rendered()) + ['all', 'profile'])})"
+                f"{', '.join(sorted(rendered()) + ['all'])})"
             )
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
@@ -223,14 +186,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     try:
         names = sorted(rendered()) if "all" in args.experiments else args.experiments
-        if "profile" in names:
-            # Profiled runs are never cached (the profiler needs the
-            # simulation to actually execute) and run after the cached
-            # experiments so their cells stay warm for the renderers.
-            names = [n for n in names if n != "profile"]
-            text = profile.run_and_write(args.profile_case, args.profile_out)
-            print(text)
-            print()
         if names:
             # Prewarm in parallel so the (serial) renderers only hit.
             report = pool.run_cells(cells_of(names), jobs=args.jobs)
@@ -244,8 +199,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             if args.out is not None:
                 args.out.mkdir(parents=True, exist_ok=True)
                 (args.out / f"{name}.txt").write_text(text + "\n")
-        if args.trace_out is not None:
-            _dump_traces(args.trace_out)
 
         if args.refresh_golden:
             written = golden.write_golden(

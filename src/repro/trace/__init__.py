@@ -10,7 +10,8 @@ The trace subsystem is the observability layer over the simulated DSM:
 * :mod:`repro.trace.hb` -- a vector-clock happens-before race detector
   replaying the access trace;
 * :mod:`repro.trace.attribution` -- a per-page false-sharing report
-  ranking pages by useless messages/bytes, tied to allocation labels;
+  ranking pages by useless messages/bytes, tied to allocation labels,
+  and the per-barrier-epoch cost table;
 * :mod:`repro.trace.cli` -- ``python -m repro.trace <app> <dataset>
   <unit>``.
 

@@ -20,14 +20,20 @@ baseline), a documented approximation for combined fetches.
 The ranking that falls out -- pages ordered by useless bytes received --
 is the actionable artifact: the top entries are the falsely-shared
 pages whose layout (or consistency-unit choice) is costing messages.
+
+The same trace is also cut by time: :func:`barrier_epochs` is the one
+rule that assigns an event to a barrier epoch, shared by
+:func:`concurrent_write_pages` and the per-phase cost table
+(:func:`phase_rows`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.sim.network import DATA_CLASSES, Network
+from repro.trace.events import TraceEvent
 from repro.trace.recorder import TraceRecorder
 
 if False:  # TYPE_CHECKING without the runtime import
@@ -131,14 +137,30 @@ def attribute_pages(
     )
 
 
+def barrier_epochs(trace: TraceRecorder) -> Iterator[Tuple[int, TraceEvent]]:
+    """Every event of the run with its processor's barrier epoch: the
+    number of that processor's ``barrier_depart`` events so far, a
+    depart counting towards the epoch it opens.
+
+    The recorder's append order is a valid linearization, so each
+    processor's events keep their program order and every event lands
+    in exactly one epoch.  Epoch ``k`` of a processor runs from its
+    ``k``-th barrier departure (the start of the run for ``k = 0``) to
+    its next barrier arrival, or to the end of the run after the last
+    barrier.
+    """
+    epoch = [0] * trace.config.nprocs
+    for ev in trace.events:
+        if ev.kind == "barrier_depart":
+            epoch[ev.proc] += 1
+        yield epoch[ev.proc], ev
+
+
 def concurrent_write_pages(trace: TraceRecorder) -> List[int]:
     """Pages written by >= 2 distinct processors within one barrier
-    epoch, from the linearized access trace.
+    epoch (:func:`barrier_epochs`), from the linearized access trace.
 
-    A processor's epoch counter is the number of its ``barrier_depart``
-    events seen so far (the recorder's append order is a valid
-    linearization, so per-processor program order is preserved).  This
-    is the dynamic ground truth the static analyzer's predicted
+    This is the dynamic ground truth the static analyzer's predicted
     conflict pages are validated against
     (:mod:`repro.analyze.crosscheck`): lock-protected writes by
     different processors in the same epoch *do* count -- locks order
@@ -148,17 +170,70 @@ def concurrent_write_pages(trace: TraceRecorder) -> List[int]:
     layout = trace.layout
     if layout is None:
         raise ValueError("concurrent_write_pages needs the run's layout")
-    epoch = [0] * trace.config.nprocs
     writers: Dict[Tuple[int, int], Set[int]] = {}
-    for ev in trace.events:
-        if ev.kind == "barrier_depart":
-            epoch[ev.proc] += 1
-        elif ev.kind == "access" and ev.op == "write":
+    for epoch, ev in barrier_epochs(trace):
+        if ev.kind == "access" and ev.op == "write":
             for page in layout.pages_of_range(ev.word0, ev.nwords):
-                writers.setdefault((epoch[ev.proc], page), set()).add(ev.proc)
+                writers.setdefault((epoch, page), set()).add(ev.proc)
     return sorted(
         {page for (_, page), procs in writers.items() if len(procs) >= 2}
     )
+
+
+@dataclass
+class PhaseRow:
+    """Simulated cost of one barrier epoch (one paper 'phase'), summed
+    over processors."""
+
+    epoch: int
+    busy_us: float = 0.0
+    """Each processor's barrier arrival minus its previous departure
+    (the start of the run for epoch 0); in the last epoch, the run's
+    last event minus the final departure."""
+
+    faults: int = 0
+    diff_creates: int = 0
+    messages: int = 0
+
+
+def phase_rows(trace: TraceRecorder) -> List[PhaseRow]:
+    """The per-barrier-epoch table: one row per epoch of
+    :func:`barrier_epochs`, i.e. the most barrier departures any
+    processor made, plus one.  Every counted event lands in exactly one
+    row, so each count column sums to the run's event total."""
+    rows = [PhaseRow(epoch=0)]
+    departed = [0.0] * trace.config.nprocs  # wake time of the last depart
+    for epoch, ev in barrier_epochs(trace):
+        if epoch == len(rows):
+            rows.append(PhaseRow(epoch=epoch))
+        row = rows[epoch]
+        if ev.kind == "barrier_arrive":
+            row.busy_us += ev.ts_us - departed[ev.proc]
+        elif ev.kind == "barrier_depart":
+            departed[ev.proc] = ev.wake_ts_us
+        elif ev.kind == "fault":
+            row.faults += 1
+        elif ev.kind == "diff_create":
+            row.diff_creates += 1
+        elif ev.kind == "message":
+            row.messages += 1
+    end = trace.events[-1].ts_us if trace.events else 0.0
+    rows[-1].busy_us += sum(max(0.0, end - t) for t in departed)
+    return rows
+
+
+def render_phases(rows: Sequence[PhaseRow]) -> str:
+    """ASCII per-barrier-epoch table."""
+    lines = [
+        "Per-phase simulated cost (barrier epochs)",
+        f"{'epoch':>5} {'busy_ms':>10} {'faults':>7} {'diffs':>6} {'msgs':>7}",
+    ]
+    for r in rows:
+        lines.append(
+            f"{r.epoch:5d} {r.busy_us / 1000.0:10.2f} "
+            f"{r.faults:7d} {r.diff_creates:6d} {r.messages:7d}"
+        )
+    return "\n".join(lines)
 
 
 def render_attribution(

@@ -10,7 +10,9 @@ enabled, then:
   (``--jsonl``),
 * runs the happens-before race detector over the access trace
   (disable with ``--no-races``),
-* prints the per-page false-sharing attribution report (``--top N``).
+* prints the per-page false-sharing attribution report (``--top N``),
+* prints the per-barrier-epoch cost table (simulated busy time, faults,
+  diff creations and messages per phase).
 
 Application names are case-insensitive; ``small`` / ``large`` are
 accepted as dataset aliases for an application's smallest / largest
@@ -26,7 +28,12 @@ from typing import Optional
 
 from repro.apps.base import AppRegistry, get_app, run_app
 from repro.bench.harness import config_for
-from repro.trace.attribution import attribute_pages, render_attribution
+from repro.trace.attribution import (
+    attribute_pages,
+    phase_rows,
+    render_attribution,
+    render_phases,
+)
 from repro.trace.export import write_chrome_trace, write_jsonl
 from repro.trace.hb import detect_races
 
@@ -70,7 +77,8 @@ def main(argv: Optional[list] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.trace",
         description="Trace one simulated DSM run: timeline export, "
-        "race check, and per-page false-sharing attribution.",
+        "race check, per-page false-sharing attribution and "
+        "per-barrier-epoch cost.",
     )
     parser.add_argument("app", help="application name (case-insensitive)")
     parser.add_argument(
@@ -103,6 +111,10 @@ def main(argv: Optional[list] = None) -> int:
     dataset = resolve_dataset(app, args.dataset)
     label = resolve_unit(args.unit)
     config = config_for(label, nprocs=args.nprocs, trace=True)
+    try:
+        config.validate()
+    except ValueError as exc:
+        parser.error(str(exc))
 
     result = run_app(app, dataset, config)
     trace = result.trace
@@ -132,6 +144,7 @@ def main(argv: Optional[list] = None) -> int:
 
     rows = attribute_pages(trace)
     print(render_attribution(rows, top=args.top))
+    print(render_phases(phase_rows(trace)))
     return rc
 
 

@@ -8,6 +8,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 from repro.analyze.detlint import (
     iter_python_files,
     lint_paths,
@@ -115,8 +117,15 @@ def _cli(*args):
     )
 
 
-def test_cli_lint_repo_is_clean():
-    proc = _cli("--lint")
+@pytest.fixture(scope="module")
+def lint_repo():
+    """One ``repro analyze --lint`` run over the repository, shared by
+    the tests that read its result."""
+    return _cli("--lint")
+
+
+def test_cli_lint_repo_is_clean(lint_repo):
+    proc = lint_repo
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "OK" in proc.stdout
 
@@ -135,8 +144,8 @@ def test_cli_lint_fixture_tree_fails_and_reports_json(tmp_path):
             "golden-float"} <= rules
 
 
-def test_cli_lint_default_run_reports_both_sections():
-    proc = _cli("--lint")
+def test_cli_lint_default_run_reports_both_sections(lint_repo):
+    proc = lint_repo
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "== src ==" in proc.stdout
     assert "== helpers ==" in proc.stdout

@@ -8,13 +8,20 @@ constants: a 3-page ``write_range`` by a second writer after a barrier,
 under each protocol of the zoo.  Any change to the analytic model (or
 to a protocol's fault path) that alters a charge must show up here as
 an explicit number, not only as drift in an opaque golden counter.
+
+The last test pins how much of each application's traffic the batched
+path serves: the reference loop is bit-identical, so only a count can
+notice the fast path switching off.
 """
 
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from repro.bench.golden import SMALL_DATASETS
+from repro.bench.harness import run_case
 from repro.core import SimConfig, TreadMarks
 from repro.dsm.lrc import LrcProc
 from repro.sim.clock import Clock
@@ -182,3 +189,58 @@ def test_fold_end_bit_identical_to_advance_loop():
 
 def test_fold_end_zero_ranges_is_identity():
     assert _fold_end(123.456, 0, 7.89) == 123.456
+
+
+# ----------------------------------------------------------------------
+# The fast path stays on
+# ----------------------------------------------------------------------
+#: Per application, its small golden cell at 4K in bulk mode, untraced:
+#: gathers and scatters ``_batched`` served, gathers and scatters it
+#: declined to the reference loop, and ``read_words`` / ``write_words``
+#: calls (the apps' word and contiguous accesses plus any reference-loop
+#: ranges).
+SHARE_FIELDS = ("gathers", "scatters", "declined", "read_words", "write_words")
+FAST_PATH_SHARE = {
+    "3D-FFT": (0, 0, 0, 544, 56),
+    "Barnes": (126, 18, 0, 0, 10),
+    "ILINK": (216, 192, 0, 16, 3),
+    "Jacobi": (0, 0, 0, 40, 40),
+    "MGS": (0, 0, 0, 5520, 4752),
+    "Shallow": (0, 0, 0, 399, 454),
+    "TSP": (0, 74, 0, 9368, 5135),
+    "Water": (56, 64, 0, 16, 25),
+}
+
+
+@pytest.mark.parametrize("app", sorted(FAST_PATH_SHARE))
+def test_fast_path_share_is_pinned(app, monkeypatch):
+    """A change that sends bulk accesses back to the reference loop
+    keeps every golden counter, so ``tests/equivalence`` cannot see it;
+    these counts do."""
+    counts = Counter()
+    batched = LrcProc._batched
+    read_words = LrcProc.read_words
+    write_words = LrcProc.write_words
+
+    def counting_batched(self, starts, nwords, write):
+        served = batched(self, starts, nwords, write)
+        if not served:
+            counts["declined"] += 1
+        else:
+            counts["scatters" if write else "gathers"] += 1
+        return served
+
+    def counting_read_words(self, word0, nwords):
+        counts["read_words"] += 1
+        return read_words(self, word0, nwords)
+
+    def counting_write_words(self, word0, values):
+        counts["write_words"] += 1
+        return write_words(self, word0, values)
+
+    monkeypatch.setattr(LrcProc, "_batched", counting_batched)
+    monkeypatch.setattr(LrcProc, "read_words", counting_read_words)
+    monkeypatch.setattr(LrcProc, "write_words", counting_write_words)
+    run_case(app, SMALL_DATASETS[app], "4K")
+    share = dict(zip(SHARE_FIELDS, FAST_PATH_SHARE[app], strict=True))
+    assert counts == Counter(share)

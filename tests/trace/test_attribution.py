@@ -1,10 +1,18 @@
-"""Per-page false-sharing attribution."""
+"""Per-page false-sharing attribution and the barrier-epoch rule."""
 
 import pytest
 
-from repro.apps.base import run_app
+from repro.apps.base import get_app, run_app
+from repro.bench.golden import SMALL_DATASETS
+from repro.bench.harness import config_for
 from repro.sim.config import SimConfig
-from repro.trace.attribution import attribute_pages, render_attribution
+from repro.trace.attribution import (
+    attribute_pages,
+    concurrent_write_pages,
+    phase_rows,
+    render_attribution,
+    render_phases,
+)
 
 from tests.conftest import tiny_app
 
@@ -79,3 +87,77 @@ def test_render_lists_top_pages(mgs_8k):
 
 def test_render_empty():
     assert "no diff traffic" in render_attribution([])
+
+
+# ------------------------------------------------------- barrier epochs
+#: ``concurrent_write_pages`` of each application's small golden cell at
+#: 4K.  ``benchmarks/analyze`` (crosscheck and layout baselines) pins
+#: these pages, so the barrier-epoch rule may not move them.
+CONCURRENT_WRITE_PAGES = {
+    "3D-FFT": [512],
+    "Barnes": [2, 4, 6, 8, 10, 12, 14],
+    "ILINK": list(range(16)),
+    "Jacobi": [],
+    "MGS": [],
+    "Shallow": [],
+    "TSP": [3, 5, 6, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19,
+            257, 261, 265],
+    "Water": [1, 3, 5, 6, 8, 10, 11, 14],
+}
+
+PHASE_COUNTS = (
+    ("faults", "fault"),
+    ("diff_creates", "diff_create"),
+    ("messages", "message"),
+)
+
+
+@pytest.fixture(scope="module", params=sorted(SMALL_DATASETS))
+def small_4k(request):
+    """One traced run of an application's small golden cell at 4K."""
+    app = request.param
+    res = run_app(get_app(app), SMALL_DATASETS[app],
+                  config_for("4K", trace=True))
+    return app, res.trace
+
+
+def test_phase_table_has_one_row_per_epoch(small_4k):
+    _, trace = small_4k
+    departs = max(
+        sum(1 for ev in trace.by_kind("barrier_depart") if ev.proc == p)
+        for p in range(trace.config.nprocs)
+    )
+    rows = phase_rows(trace)
+    assert [r.epoch for r in rows] == list(range(departs + 1))
+
+
+def test_phase_counts_sum_to_trace_totals(small_4k):
+    """Every fault, diff-create and message event lands in exactly one
+    epoch."""
+    _, trace = small_4k
+    rows = phase_rows(trace)
+    for column, kind in PHASE_COUNTS:
+        assert sum(getattr(r, column) for r in rows) == len(
+            trace.by_kind(kind)
+        ), column
+
+
+def test_concurrent_write_pages_pinned(small_4k):
+    app, trace = small_4k
+    assert concurrent_write_pages(trace) == CONCURRENT_WRITE_PAGES[app]
+
+
+def test_jacobi_phase_table():
+    """Jacobi 1Kx1K@4K: 10 barriers, so 11 epochs holding all 56 faults,
+    56 diff creations and 252 messages; busy time per epoch is each
+    processor's arrival minus its previous departure, summed."""
+    res = run_app(get_app("Jacobi"), "1Kx1K", config_for("4K", trace=True))
+    rows = phase_rows(res.trace)
+    totals = tuple(sum(getattr(r, c) for r in rows) for c, _ in PHASE_COUNTS)
+    assert totals == (56, 56, 252)
+    assert [round(r.busy_us / 1000.0, 2) for r in rows] == [
+        6.27, 36.90, 1.19, 36.89, 1.19, 36.89, 1.19, 36.89, 1.19, 1.19, 0.0,
+    ]
+    text = render_phases(rows)
+    assert text.startswith("Per-phase simulated cost (barrier epochs)")
+    assert len(text.splitlines()) == 2 + len(rows)

@@ -46,6 +46,8 @@ def test_acceptance_invocation(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "race-free" in text
     assert "False-sharing attribution" in text
+    assert "Per-phase simulated cost" in text
+    assert text.index("Per-phase") > text.index("False-sharing attribution")
 
 
 def test_jsonl_and_flags(tmp_path, capsys):
@@ -60,3 +62,12 @@ def test_jsonl_and_flags(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "happens-before" not in text  # --no-races
     assert "on 4 procs" in text
+
+
+def test_invalid_config_is_a_usage_error(capsys):
+    """A configuration SimConfig.validate rejects ends in an argparse
+    error (exit 2, the message on stderr), not a traceback."""
+    with pytest.raises(SystemExit) as exc:
+        main(["jacobi", "small", "4K", "--nprocs", "0"])
+    assert exc.value.code == 2
+    assert "nprocs must be >= 1, got 0" in capsys.readouterr().err
