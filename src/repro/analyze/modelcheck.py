@@ -598,38 +598,10 @@ class BrokenHomeLrcProc(HomeLrcProc):
 
 def broken_protocol() -> ProtocolInfo:
     """An *unregistered* ProtocolInfo for the seeded-bug hlrc variant."""
-
-    def _build(
-        layout: object,
-        config: object,
-        store: object,
-        network: object,
-        stats: object,
-        clocks: object,
-        credit: object,
-    ) -> List[BrokenHomeLrcProc]:
-        assert isinstance(clocks, list)
-        procs = [
-            BrokenHomeLrcProc(
-                pid=pid,
-                layout=layout,
-                config=config,
-                store=store,
-                network=network,
-                stats=stats,
-                clock=clocks[pid],
-                credit=credit,
-            )
-            for pid in range(len(clocks))
-        ]
-        for bp in procs:
-            bp.peers = procs
-        return procs
-
     return ProtocolInfo(
         name="hlrc-broken-flush",
         description="hlrc with its first DIFF_FLUSH deliberately skipped",
-        build=_build,  # type: ignore[arg-type]
+        proc_cls=BrokenHomeLrcProc,
     )
 
 

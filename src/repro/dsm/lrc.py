@@ -65,7 +65,7 @@ class LrcProc:
 
     peers: Sequence["LrcProc"] = ()
     """All processors of the run (index == pid), for protocols that act
-    on their peers' copies; wired by the protocol's build hook."""
+    on their peers' copies; set by :meth:`wire`."""
 
     def __init__(
         self,
@@ -442,6 +442,14 @@ class LrcProc:
         self.close_interval()
         self.aggregator.on_sync()
 
+    @classmethod
+    def wire(cls, procs: Sequence["LrcProc"]) -> None:
+        """Cross-processor wiring of a run's freshly built processors
+        (index == pid): each gets the run's list as :attr:`peers`.
+        Protocols with more shared state extend it."""
+        for p in procs:
+            p.peers = procs
+
     def detach(self) -> None:
         """Cut the references that lead from this processor's parts back
         into its run -- the aggregator's ``proc`` and the peer list --
@@ -623,36 +631,20 @@ class LrcProc:
 
         stall = 0.0
         exchange_ids: List[int] = []
-        network = self.network
-        msg_cost = config.msg_cost_us
         parallel = config.parallel_fetch
         for writer, positions, n_notices in exchange_plans:
-            ex = network.new_exchange(self.pid, writer, fault_id)
+            ex, reply_id, response_time = self._exchange(
+                writer,
+                n_notices,
+                sum(run_diff[p].wire_bytes for p in positions),
+                sum(run_diff[p].nwords for p in positions),
+                writer_diff_cost[writer],
+                fault_id,
+                now,
+            )
             exchange_ids.append(ex)
-            req_bytes = REQUEST_BASE_BYTES + REQUEST_ENTRY_BYTES * n_notices
-            # Both legs of the exchange stall the faulting processor, so
-            # injected delivery faults (repro.faults) charge their delays
-            # to it, whichever direction the perturbed copy travels.
-            req = network.record(
-                self.pid, writer, MessageClass.DIFF_REQUEST, req_bytes, now, ex,
-                waiter=self.pid,
-            )
-            reply_bytes = sum(run_diff[p].wire_bytes for p in positions)
-            reply_words = sum(run_diff[p].nwords for p in positions)
-            reply = network.record(
-                writer, self.pid, MessageClass.DIFF_REPLY, reply_bytes, now, ex,
-                waiter=self.pid,
-            )
-            reply.words_carried = reply_words
             for position in positions:
-                run_reply[position] = reply.msg_id
-            network.close_exchange(ex, req.msg_id, reply.msg_id)
-            response_time = (
-                msg_cost(req_bytes)
-                + config.diff_service_us
-                + writer_diff_cost[writer]
-                + msg_cost(reply_bytes)
-            )
+                run_reply[position] = reply_id
             if parallel:
                 stall = max(stall, response_time)
             else:
@@ -689,6 +681,52 @@ class LrcProc:
                 )
 
         self._finish_fault(units, len(by_writer), exchange_ids, stall, apply_cost)
+
+    def _exchange(
+        self,
+        peer: int,
+        n_entries: int,
+        reply_bytes: int,
+        reply_words: int,
+        extra_us: float,
+        fault_id: int,
+        now: float,
+    ) -> Tuple[int, int, float]:
+        """One fault-time exchange with ``peer``: a request naming
+        ``n_entries`` diffs or units, answered by ``reply_bytes`` carrying
+        ``reply_words`` words.  Records both messages and closes the
+        exchange; returns ``(exchange id, reply message id, response
+        time)``.
+
+        The response time is request wire time + ``diff_service_us`` +
+        ``extra_us`` (the responder's lazy diff creation) + reply wire
+        time, added left to right.  The whole-unit fetch passes
+        ``extra_us=0.0``: for the non-negative costs here ``(a + b) +
+        0.0`` is bit-equal to ``a + b``, so its stall is the same float
+        as the three-term sum."""
+        network = self.network
+        msg_cost = self.config.msg_cost_us
+        ex = network.new_exchange(self.pid, peer, fault_id)
+        req_bytes = REQUEST_BASE_BYTES + REQUEST_ENTRY_BYTES * n_entries
+        # Both legs of the exchange stall the faulting processor, so
+        # injected delivery faults (repro.faults) charge their delays
+        # to it, whichever direction the perturbed copy travels.
+        req = network.record(
+            self.pid, peer, MessageClass.DIFF_REQUEST, req_bytes, now, ex,
+            waiter=self.pid,
+        )
+        reply = network.record(
+            peer, self.pid, MessageClass.DIFF_REPLY, reply_bytes, now, ex,
+            waiter=self.pid,
+        )
+        reply.words_carried = reply_words
+        network.close_exchange(ex, req.msg_id, reply.msg_id)
+        return ex, reply.msg_id, (
+            msg_cost(req_bytes)
+            + self.config.diff_service_us
+            + extra_us
+            + msg_cost(reply_bytes)
+        )
 
     def install(self, d: Diff, msg_id: int) -> None:
         """Patch ``d`` into this processor's copy of its unit and tag

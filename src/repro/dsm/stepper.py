@@ -11,7 +11,7 @@ external schedule control.
 
 :class:`SteppedSystem` provides that hook.  It assembles a complete DSM
 system exactly the way :class:`repro.core.treadmarks.TreadMarks` does --
-heap layout, network ledger, interval store, protocol build hook,
+heap layout, network ledger, interval store, ``ProtocolInfo.build``,
 aggregators, sync manager -- but with no threads and no run loop; the
 caller picks which processor executes its next instruction.  Blocking
 mirrors the engine faithfully: a synchronization op that returns no

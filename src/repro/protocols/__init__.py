@@ -26,17 +26,16 @@ where each protocol pays (release vs fault), in what currency (messages
 vs data vs mprotects), and how the bill scales with the consistency-unit
 size -- which is exactly what ``python -m repro.bench protocols`` tabulates.
 
-Protocol implementations subclass :class:`repro.dsm.lrc.LrcProc` and
-register a :class:`ProtocolInfo`; the runtime resolves
-``SimConfig.protocol`` through :func:`get_protocol`.
+A protocol is one :class:`repro.dsm.lrc.LrcProc` subclass registered as
+``ProtocolInfo(name, description, proc_cls)`` (see :mod:`.base` for the
+hooks it overrides and the fault and release service it shares); the
+runtime resolves ``SimConfig.protocol`` through :func:`get_protocol`.
 """
 
 from repro.dsm.lrc import LrcProc
 from repro.protocols.base import (
-    ConsistencyProtocol,
     ProtocolInfo,
     all_protocols,
-    build_uniform,
     get_protocol,
     protocol_names,
     register,
@@ -49,7 +48,7 @@ register(
             "TreadMarks lazy release consistency (the paper's protocol): "
             "lazy diffs, multi-writer, fault-time gathers per writer"
         ),
-        build=build_uniform(LrcProc),
+        proc_cls=LrcProc,
     )
 )
 
@@ -60,10 +59,8 @@ from repro.protocols import hlrc as _hlrc  # noqa: E402
 from repro.protocols import swi as _swi  # noqa: E402
 
 __all__ = [
-    "ConsistencyProtocol",
     "ProtocolInfo",
     "all_protocols",
-    "build_uniform",
     "get_protocol",
     "protocol_names",
     "register",

@@ -1,119 +1,46 @@
-"""The consistency-protocol interface and registry.
+"""The protocol registry and the fault and release service the zoo shares.
 
-A *protocol* is a recipe for building the per-processor consistency
-engines of one simulated run.  :class:`repro.dsm.lrc.LrcProc` defines the
-contract structurally -- the substrate (engine, sync manager, aggregation
-strategies, fault lab) only ever calls the methods named in
-:class:`ConsistencyProtocol` -- so alternative protocols subclass
-``LrcProc`` and override the pieces that differ:
+A protocol *is* its processor class: a subclass of
+:class:`repro.dsm.lrc.LrcProc` (``tm-lrc`` is ``LrcProc`` itself) that
+overrides the pieces that differ --
 
+* ``_prepare_write`` / ``_unwritable_units`` -- what makes a unit
+  writable (a twin; swi: exclusive ownership),
 * ``close_interval``  -- what happens at a release (lazy notice queueing,
   eager flush to a home, eager push to all sharers, nothing),
-* ``apply_notices_upto`` -- what an acquire invalidates,
+* ``_invalidated_units`` -- which noticed units an acquire invalidates,
 * ``fetch`` -- how an access miss is serviced (multi-writer diff gather,
-  single round-trip to a home/owner, never).
+  one whole-unit round trip per home/owner, never),
+* ``wire`` -- any cross-processor state beyond the peer list (swi's
+  ownership directory).
 
-Protocols register a :class:`ProtocolInfo` under a short name; the
-runtime (:class:`repro.core.treadmarks.TreadMarks`) resolves
-``SimConfig.protocol`` through :func:`get_protocol` and calls the
-protocol's ``build`` hook to construct the processor array.  The hook
-owns any cross-processor wiring (peer lists, shared directories).
+Each registers a :class:`ProtocolInfo` under a short name; the runtime
+(:class:`repro.core.treadmarks.TreadMarks`, and the model checker's
+:class:`repro.dsm.stepper.SteppedSystem`) resolves ``SimConfig.protocol``
+through :func:`get_protocol` and calls :meth:`ProtocolInfo.build`.
+
+The overrides are thin: the pieces more than one protocol needs are
+written once -- the request/reply exchange (``LrcProc._exchange``, which
+tm-lrc's per-writer gather uses too), the whole-unit fetch
+(:func:`fetch_whole_units`, hlrc and swi), and the eager diff and its
+delivery (:func:`eager_diff`, :func:`deliver`, hlrc and erc).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Callable,
-    Dict,
-    List,
-    Protocol,
-    Sequence,
-    Tuple,
-    Type,
-    runtime_checkable,
-)
+from typing import TYPE_CHECKING, Callable, Dict, List, Sequence, Tuple, Type
 
+from repro.dsm.diff import DIFF_HEADER_BYTES, Diff, apply_diff, whole_unit_diff
 from repro.dsm.lrc import LrcProc
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from repro.dsm.address_space import SharedHeapLayout
-    from repro.dsm.intervals import IntervalStore
-    from repro.dsm.vc import VectorClock
+    from repro.dsm.intervals import Interval, IntervalStore
     from repro.sim.clock import Clock
     from repro.sim.config import SimConfig
     from repro.sim.network import Network
     from repro.stats.counters import ProtocolStats
-
-#: ``credit(msg_id, nwords)`` -- the word-usefulness callback the runtime
-#: hands every processor (resolves words as useful on first read).
-CreditFn = Callable[[int, int], None]
-
-#: ``build(layout, config, store, network, stats, clocks, credit)`` ->
-#: the per-processor engines, index == pid.  The hook performs all
-#: protocol-internal wiring; the runtime attaches trace recorders and
-#: aggregation strategies afterwards.
-BuildFn = Callable[
-    [
-        "SharedHeapLayout",
-        "SimConfig",
-        "IntervalStore",
-        "Network",
-        "ProtocolStats",
-        "List[Clock]",
-        CreditFn,
-    ],
-    List[LrcProc],
-]
-
-
-@runtime_checkable
-class ConsistencyProtocol(Protocol):
-    """Structural contract between the substrate and a protocol engine.
-
-    Everything the engine, sync manager, aggregators, and application
-    shim call on a per-processor protocol object.  ``LrcProc`` (and thus
-    every subclass) satisfies it; the class exists as documentation and
-    for static checking of new implementations, not for inheritance.
-    """
-
-    pid: int
-
-    def read_words(
-        self, word0: int, nwords: int
-    ) -> "np.ndarray[Any, np.dtype[Any]]":
-        """Shared read (faulting + usefulness + access cost)."""
-        ...
-
-    def write_words(
-        self, word0: int, values: "np.ndarray[Any, np.dtype[Any]]"
-    ) -> None:
-        """Shared write (faulting + write capture + access cost)."""
-        ...
-
-    def at_sync_point(self) -> None:
-        """Run on the processor's own thread before it parks at any
-        synchronization operation (release semantics live here)."""
-        ...
-
-    def apply_notices_upto(
-        self, new_vc: "VectorClock"
-    ) -> Tuple[float, int, int]:
-        """Advance this processor's knowledge to ``new_vc`` (acquire
-        semantics); returns ``(cost_us, payload_bytes, n_notices)``."""
-        ...
-
-    def fetch(self, units: Sequence[int]) -> None:
-        """Service an access miss on ``units``."""
-        ...
-
-    def monitoring_fault(self, unit: int) -> None:
-        """Pay for a data-less access-tracking fault (dynamic mode)."""
-        ...
 
 
 @dataclass(frozen=True)
@@ -126,8 +53,39 @@ class ProtocolInfo:
     description: str
     """One-line summary shown by ``python -m repro protocols --list``."""
 
-    build: BuildFn
-    """Constructor hook for the per-processor engines."""
+    proc_cls: Type[LrcProc]
+    """The per-processor engine class."""
+
+    def build(
+        self,
+        layout: "SharedHeapLayout",
+        config: "SimConfig",
+        store: "IntervalStore",
+        network: "Network",
+        stats: "ProtocolStats",
+        clocks: "List[Clock]",
+        credit: Callable[[int, int], None],
+    ) -> List[LrcProc]:
+        """The run's per-processor engines, index == pid, wired by
+        ``proc_cls.wire``.  ``credit(msg_id, nwords)`` is the
+        word-usefulness callback every processor's tracker is handed; the
+        runtime attaches trace recorders and aggregation strategies
+        afterwards."""
+        procs = [
+            self.proc_cls(
+                pid=pid,
+                layout=layout,
+                config=config,
+                store=store,
+                network=network,
+                stats=stats,
+                clock=clocks[pid],
+                credit=credit,
+            )
+            for pid in range(config.nprocs)
+        ]
+        self.proc_cls.wire(procs)
+        return procs
 
 
 _REGISTRY: Dict[str, ProtocolInfo] = {}
@@ -161,31 +119,101 @@ def all_protocols() -> List[ProtocolInfo]:
     return [_REGISTRY[name] for name in protocol_names()]
 
 
-def build_uniform(proc_cls: Type[LrcProc]) -> BuildFn:
-    """A ``build`` hook for protocols with no cross-processor wiring:
-    one ``proc_cls`` instance per pid, constructed like ``LrcProc``."""
+# ----------------------------------------------------------------------
+# Shared fault service: one whole-unit exchange per responder
+# ----------------------------------------------------------------------
+def fetch_whole_units(
+    proc: LrcProc, units: Sequence[int], responder: Callable[[int], int]
+) -> None:
+    """Service an access miss on the pending ``units`` of ``proc`` the
+    way the protocols without per-writer diffs do: one exchange per
+    ``responder(unit)`` (hlrc: the home, swi: the owner), whose reply
+    carries the responder's whole current copy of each requested unit.
+    Responders are contacted in parallel (or in sequence under the
+    serialized-fetch ablation), as tm-lrc contacts its writers."""
+    by_peer: Dict[int, List[int]] = {}
+    for unit in units:
+        if proc.pending_n[unit]:
+            by_peer.setdefault(responder(unit), []).append(unit)
+    if not by_peer:
+        raise AssertionError(f"fetch with nothing pending: units={units}")
 
-    def build(
-        layout: "SharedHeapLayout",
-        config: "SimConfig",
-        store: "IntervalStore",
-        network: "Network",
-        stats: "ProtocolStats",
-        clocks: "List[Clock]",
-        credit: CreditFn,
-    ) -> List[LrcProc]:
-        return [
-            proc_cls(
-                pid=pid,
-                layout=layout,
-                config=config,
-                store=store,
-                network=network,
-                stats=stats,
-                clock=clocks[pid],
-                credit=credit,
-            )
-            for pid in range(config.nprocs)
-        ]
+    layout = proc.layout
+    config = proc.config
+    stats = proc.stats
+    wpu = layout.words_per_unit
+    now = proc.clock.now
+    fault_id = len(stats.fault_records)
+    stall = 0.0
+    apply_cost = 0.0
+    exchange_ids = []
+    for peer in sorted(by_peer):
+        punits = sorted(by_peer[peer])
+        ex, reply_id, response_time = proc._exchange(
+            peer,
+            len(punits),
+            len(punits) * (layout.unit_bytes + DIFF_HEADER_BYTES),
+            len(punits) * wpu,
+            0.0,
+            fault_id,
+            now,
+        )
+        exchange_ids.append(ex)
+        if config.parallel_fetch:
+            stall = max(stall, response_time)
+        else:
+            stall += response_time
+        source = proc.peers[peer].space
+        for unit in punits:
+            proc.install(whole_unit_diff(unit, source.unit_view(unit)), reply_id)
+            apply_cost += layout.unit_bytes * config.twin_byte_us
+            stats.diffs_applied += 1
+            stats.diff_words_applied += wpu
+            if proc.trace is not None:
+                w0, w1 = layout.unit_word_range(unit)
+                pages = tuple(layout.pages_of_range(w0, w1 - w0))
+                proc.trace.on_diff_apply(
+                    proc.pid, now, unit, peer, wpu, reply_id,
+                    pages, (layout.words_per_page,) * len(pages),
+                )
+    stall += 2 * config.msg_cpu_us * len(by_peer)
 
-    return build
+    proc._finish_fault(units, len(by_peer), exchange_ids, stall, apply_cost)
+
+
+# ----------------------------------------------------------------------
+# Shared release service: eager diffs and their delivery
+# ----------------------------------------------------------------------
+def eager_diff(
+    proc: LrcProc, interval: "Interval", unit: int, now: float
+) -> Tuple[Diff, float]:
+    """The diff of ``unit`` in ``proc``'s just-closed ``interval``,
+    created at the release -- the eager protocols' cost shift: tm-lrc
+    defers the word-compare scan to the first fetch and skips it for
+    never-fetched data -- and registered in the span cache tm-lrc's
+    fetch serves from.  Returns the diff and its creation charge (0.0
+    when the span was already registered).  Called once per unit, in
+    the order the caller sends, so creation events interleave with the
+    caller's messages."""
+    d = interval.diff_for(unit)
+    key = (proc.pid, unit, interval.index, interval.index)
+    cache = proc.store.diff_scan_cache
+    if key in cache:
+        return d, 0.0
+    cache[key] = d
+    proc.stats.diffs_created += 1
+    proc.stats.diff_words_created += d.nwords
+    if proc.trace is not None:
+        proc.trace.on_diff_create(proc.pid, proc.pid, now, unit, d.nwords)
+    return d, proc.layout.unit_bytes * proc.config.diff_create_byte_us
+
+
+def deliver(peer: LrcProc, d: Diff, msg_id: int) -> None:
+    """Apply an eagerly sent diff (hlrc's flush, erc's push) at ``peer``,
+    patching its live twin too when it is writing the unit -- else its
+    next diff would re-publish the sender's words as its own writes."""
+    peer.install(d, msg_id)
+    if peer.twinned[d.unit]:
+        apply_diff(d, peer.twin(d.unit))
+    peer.stats.diffs_applied += 1
+    peer.stats.diff_words_applied += d.nwords

@@ -28,26 +28,17 @@ backed by already-applied data.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, NoReturn, Sequence
+from typing import List, NoReturn, Sequence
 
-from repro.dsm.diff import apply_diff
 from repro.dsm.lrc import LrcProc
-from repro.protocols.base import CreditFn, ProtocolInfo, register
+from repro.protocols.base import ProtocolInfo, deliver, eager_diff, register
 from repro.sim.network import MessageClass
-
-if TYPE_CHECKING:
-    from repro.dsm.address_space import SharedHeapLayout
-    from repro.dsm.intervals import IntervalStore
-    from repro.sim.clock import Clock
-    from repro.sim.config import SimConfig
-    from repro.sim.network import Network
-    from repro.stats.counters import ProtocolStats
 
 
 class EagerRcProc(LrcProc):
     """One processor under eager (update-at-release) RC."""
 
-    #: All processors of the run (index == pid), wired by the build hook.
+    #: All processors of the run (index == pid), wired by :meth:`wire`.
     peers: "List[EagerRcProc]"
 
     # ------------------------------------------------------------------
@@ -65,17 +56,8 @@ class EagerRcProc(LrcProc):
         total_wire = 0
         total_words = 0
         for unit in units:
-            d = interval.diff_for(unit)
-            key = (self.pid, unit, interval.index, interval.index)
-            if key not in self.store.diff_scan_cache:
-                self.store.diff_scan_cache[key] = d
-                cost += self.layout.unit_bytes * self.config.diff_create_byte_us
-                self.stats.diffs_created += 1
-                self.stats.diff_words_created += d.nwords
-                if self.trace is not None:
-                    self.trace.on_diff_create(
-                        self.pid, self.pid, now, unit, d.nwords
-                    )
+            d, create_us = eager_diff(self, interval, unit, now)
+            cost += create_us
             diffs.append(d)
             total_wire += d.wire_bytes
             total_words += d.nwords
@@ -93,11 +75,7 @@ class EagerRcProc(LrcProc):
             msg.words_carried = total_words
             cost += self.config.msg_cpu_us  # send-side CPU; no stall
             for d in diffs:
-                peer.install(d, msg.msg_id)
-                if peer.twinned[d.unit]:
-                    apply_diff(d, peer.twin(d.unit))
-                self.stats.diffs_applied += 1
-                self.stats.diff_words_applied += d.nwords
+                deliver(peer, d, msg.msg_id)
             # Eager knowledge transfer: the peer has now seen (and holds
             # the data of) every interval this releaser knows about.
             peer.vc.join(self.vc)
@@ -125,33 +103,6 @@ class EagerRcProc(LrcProc):
         )
 
 
-def _build(
-    layout: "SharedHeapLayout",
-    config: "SimConfig",
-    store: "IntervalStore",
-    network: "Network",
-    stats: "ProtocolStats",
-    clocks: "List[Clock]",
-    credit: CreditFn,
-) -> List[LrcProc]:
-    procs = [
-        EagerRcProc(
-            pid=pid,
-            layout=layout,
-            config=config,
-            store=store,
-            network=network,
-            stats=stats,
-            clock=clocks[pid],
-            credit=credit,
-        )
-        for pid in range(config.nprocs)
-    ]
-    for p in procs:
-        p.peers = procs
-    return list(procs)
-
-
 register(
     ProtocolInfo(
         name="erc",
@@ -159,6 +110,6 @@ register(
             "eager release consistency: write notices + diffs pushed to "
             "all sharers at every release; no faults, no fetches"
         ),
-        build=_build,
+        proc_cls=EagerRcProc,
     )
 )

@@ -38,22 +38,13 @@ Modelling notes:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, List, Sequence, Set
+from typing import Any, List, Sequence, Set, cast
 
 import numpy as np
 
-from repro.dsm.diff import DIFF_HEADER_BYTES, whole_unit_diff
-from repro.dsm.lrc import REQUEST_BASE_BYTES, REQUEST_ENTRY_BYTES, LrcProc
-from repro.protocols.base import CreditFn, ProtocolInfo, register
+from repro.dsm.lrc import LrcProc
+from repro.protocols.base import ProtocolInfo, fetch_whole_units, register
 from repro.sim.network import MessageClass
-
-if TYPE_CHECKING:
-    from repro.dsm.address_space import SharedHeapLayout
-    from repro.dsm.intervals import IntervalStore
-    from repro.sim.clock import Clock
-    from repro.sim.config import SimConfig
-    from repro.sim.network import Network
-    from repro.stats.counters import ProtocolStats
 
 #: Wire sizes of the ownership / invalidation control messages.
 OWNERSHIP_REQUEST_BYTES = 16
@@ -97,11 +88,18 @@ class OwnershipDirectory:
 class SwiProc(LrcProc):
     """One processor under single-writer invalidate."""
 
-    #: All processors of the run (index == pid), wired by the build hook.
+    #: All processors of the run (index == pid), wired by :meth:`wire`.
     peers: "List[SwiProc]"
 
-    #: The run's shared ownership directory, wired by the build hook.
+    #: The run's shared ownership directory, wired by :meth:`wire`.
     directory: OwnershipDirectory
+
+    @classmethod
+    def wire(cls, procs: Sequence[LrcProc]) -> None:
+        super().wire(procs)
+        directory = OwnershipDirectory(procs[0].layout.nunits, len(procs))
+        for p in procs:
+            cast(SwiProc, p).directory = directory
 
     # ------------------------------------------------------------------
     # Write path: ownership + invalidation before the store.  The base
@@ -180,104 +178,24 @@ class SwiProc(LrcProc):
     # Fault service: whole-unit refetch from the owner
     # ------------------------------------------------------------------
     def fetch(self, units: Sequence[int]) -> None:
-        by_owner: Dict[int, List[int]] = {}
+        # The owner's copy is always current (single-writer invariant),
+        # and SWI has no diffs: each fetched unit comes whole from its
+        # owner, and this processor joins the unit's copyset.
+        directory = self.directory
         for unit in units:
             if self.pending_n[unit]:
-                owner = self.directory.owner[unit]
-                if owner < 0 or owner == self.pid:
-                    raise AssertionError(
-                        f"invalid unit {unit} with owner {owner} at proc "
-                        f"{self.pid}"
-                    )
-                by_owner.setdefault(owner, []).append(unit)
-        if not by_owner:
-            raise AssertionError(f"fetch with nothing pending: units={units}")
+                directory.copyset[unit].add(self.pid)
+                directory.excl[unit] = -1
+        fetch_whole_units(self, units, self._owner)
 
-        now = self.clock.now
-        fault_id = len(self.stats.fault_records)
-        stall = 0.0
-        apply_cost = 0.0
-        exchange_ids = []
-        for owner in sorted(by_owner):
-            ounits = sorted(by_owner[owner])
-            ex = self.network.new_exchange(self.pid, owner, fault_id)
-            exchange_ids.append(ex)
-            req_bytes = REQUEST_BASE_BYTES + REQUEST_ENTRY_BYTES * len(ounits)
-            req = self.network.record(
-                self.pid, owner, MessageClass.DIFF_REQUEST, req_bytes, now, ex,
-                waiter=self.pid,
+    def _owner(self, unit: int) -> int:
+        """The owner of invalid ``unit``, which serves its fetch."""
+        owner = self.directory.owner[unit]
+        if owner < 0 or owner == self.pid:
+            raise AssertionError(
+                f"invalid unit {unit} with owner {owner} at proc {self.pid}"
             )
-            # The owner's copy is always current (single-writer
-            # invariant), and SWI has no diffs: ship the whole unit.
-            reply_bytes = len(ounits) * (
-                self.layout.unit_bytes + DIFF_HEADER_BYTES
-            )
-            reply = self.network.record(
-                owner, self.pid, MessageClass.DIFF_REPLY, reply_bytes, now, ex,
-                waiter=self.pid,
-            )
-            reply.words_carried = len(ounits) * self.layout.words_per_unit
-            self.network.close_exchange(ex, req.msg_id, reply.msg_id)
-            response_time = (
-                self.config.msg_cost_us(req_bytes)
-                + self.config.diff_service_us
-                + self.config.msg_cost_us(reply_bytes)
-            )
-            if self.config.parallel_fetch:
-                stall = max(stall, response_time)
-            else:
-                stall += response_time
-            for unit in ounits:
-                self.install(
-                    whole_unit_diff(unit, self.peers[owner].space.unit_view(unit)),
-                    reply.msg_id,
-                )
-                apply_cost += self.layout.unit_bytes * self.config.twin_byte_us
-                self.directory.copyset[unit].add(self.pid)
-                self.directory.excl[unit] = -1
-                self.stats.diffs_applied += 1
-                self.stats.diff_words_applied += self.layout.words_per_unit
-                if self.trace is not None:
-                    w0, w1 = self.layout.unit_word_range(unit)
-                    pages = tuple(self.layout.pages_of_range(w0, w1 - w0))
-                    self.trace.on_diff_apply(
-                        self.pid, now, unit, owner,
-                        self.layout.words_per_unit, reply.msg_id,
-                        pages,
-                        (self.layout.words_per_page,) * len(pages),
-                    )
-        stall += 2 * self.config.msg_cpu_us * len(by_owner)
-
-        self._finish_fault(units, len(by_owner), exchange_ids, stall, apply_cost)
-
-
-def _build(
-    layout: "SharedHeapLayout",
-    config: "SimConfig",
-    store: "IntervalStore",
-    network: "Network",
-    stats: "ProtocolStats",
-    clocks: "List[Clock]",
-    credit: CreditFn,
-) -> List[LrcProc]:
-    directory = OwnershipDirectory(layout.nunits, config.nprocs)
-    procs = [
-        SwiProc(
-            pid=pid,
-            layout=layout,
-            config=config,
-            store=store,
-            network=network,
-            stats=stats,
-            clock=clocks[pid],
-            credit=credit,
-        )
-        for pid in range(config.nprocs)
-    ]
-    for p in procs:
-        p.peers = procs
-        p.directory = directory
-    return list(procs)
+        return owner
 
 
 register(
@@ -287,6 +205,6 @@ register(
             "single-writer invalidate: one owner per unit, invalidations "
             "on ownership transfer; false sharing ping-pongs ownership"
         ),
-        build=_build,
+        proc_cls=SwiProc,
     )
 )

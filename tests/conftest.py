@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 
 from repro.apps.base import Application, get_app, run_app
+from repro.bench.cache import cell_seed
+from repro.bench.golden import SMALL_DATASETS
+from repro.bench.harness import config_for
 from repro.sim.config import SimConfig
 
 
@@ -44,6 +49,33 @@ def cfg4():
 def cfg_small():
     """4 processors, 4 KB unit: cheap protocol-level scenarios."""
     return SimConfig(nprocs=4, unit_pages=1)
+
+
+def traced_run(app_name: str, label: str, access_mode: str):
+    """One traced run of an application's small golden cell, seeded
+    exactly like the corresponding :func:`repro.bench.harness.run_case`
+    cell; ``result.trace.events`` is its event stream."""
+    ds = SMALL_DATASETS[app_name]
+    config = config_for(label, trace=True, access_mode=access_mode)
+    seed = cell_seed(app_name, ds, config)
+    np.random.seed(seed)  # detlint: ok(global-random)
+    random.seed(seed)  # detlint: ok(global-random)
+    return run_app(get_app(app_name), ds, config)
+
+
+@pytest.fixture(scope="session")
+def traced_small_4k():
+    """``app -> RunResult``: :func:`traced_run` of the app's small cell
+    at 4K in bulk mode, made at most once per session for every test
+    that asks.  The result is shared: read it, never mutate it."""
+    runs = {}
+
+    def get(app_name: str):
+        if app_name not in runs:
+            runs[app_name] = traced_run(app_name, "4K", "bulk")
+        return runs[app_name]
+
+    return get
 
 
 ALL_APPS = ["Barnes", "ILINK", "Jacobi", "MGS", "Shallow", "TSP", "Water", "3D-FFT"]

@@ -17,16 +17,13 @@ write hooks it fails to respect -- see ``LrcProc._prepare_write`` and
 ``_unwritable_units``).
 """
 
-import random
-
-import numpy as np
 import pytest
 
-from repro.apps.base import get_app, run_app
-from repro.bench.cache import cell_seed
 from repro.bench.golden import GOLDEN_FIELDS, SMALL_DATASETS
-from repro.bench.harness import CaseResult, config_for, run_case
+from repro.bench.harness import CaseResult, run_case
 from repro.sim.config import DEFAULT_PROTOCOL
+
+from tests.conftest import traced_run
 
 APPS = sorted(SMALL_DATASETS)
 
@@ -82,21 +79,8 @@ def test_bulk_matches_scalar(app, protocol, label):
 # ----------------------------------------------------------------------
 # Trace event streams
 # ----------------------------------------------------------------------
-def _traced_events(app_name: str, label: str, access_mode: str):
-    """The full trace event list of one traced run, seeded exactly like
-    the corresponding :func:`run_case` cell."""
-    app = get_app(app_name)
-    ds = SMALL_DATASETS[app_name]
-    config = config_for(label, trace=True, access_mode=access_mode)
-    seed = cell_seed(app_name, ds, config)
-    np.random.seed(seed)  # detlint: ok(global-random)
-    random.seed(seed)  # detlint: ok(global-random)
-    res = run_app(app, ds, config)
-    return res.trace.events, res
-
-
 @pytest.mark.parametrize("app", APPS)
-def test_trace_streams_identical(app):
+def test_trace_streams_identical(app, traced_small_4k):
     """Traced scalar and bulk runs yield the same event stream, event by
     event (trace events are plain dataclasses: fieldwise comparison).
 
@@ -105,20 +89,21 @@ def test_trace_streams_identical(app):
     difference also re-verifies that no application leaks global-RNG
     state into the simulation.
     """
-    bulk_events, bulk_res = _traced_events(app, "4K", "bulk")
-    scalar_events, scalar_res = _traced_events(app, "4K", "scalar")
+    bulk_res = traced_small_4k(app)
+    scalar_res = traced_run(app, "4K", "scalar")
+    bulk_events, scalar_events = bulk_res.trace.events, scalar_res.trace.events
     assert bulk_res.checksum == scalar_res.checksum
     assert len(bulk_events) == len(scalar_events)
-    for b, s in zip(bulk_events, scalar_events):
+    for b, s in zip(bulk_events, scalar_events, strict=True):
         assert b == s, f"trace divergence at eid {b.eid}: {b} != {s}"
 
 
 @pytest.mark.parametrize("app", APPS)
-def test_traced_run_matches_untraced_counters(app):
+def test_traced_run_matches_untraced_counters(app, traced_small_4k):
     """Tracing is observational *and* the traced bulk run takes the
     reference decomposition loop -- so a traced run reproducing the
     untraced counters ties the fast path (untraced, tiered) to the
     reference loop (traced) on the same cell."""
-    _, res = _traced_events(app, "4K", "bulk")
+    res = traced_small_4k(app)
     untraced = run_case(app, SMALL_DATASETS[app], "4K")
     _assert_identical(untraced, CaseResult.from_run(res))

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.core import SimConfig, TreadMarks
+from repro.dsm.lrc import LrcProc
 from repro.protocols import (
-    ConsistencyProtocol,
     ProtocolInfo,
     all_protocols,
     base,
@@ -38,9 +38,7 @@ class TestRegistry:
         assert [i.name for i in all_protocols()] == sorted(protocol_names())
 
     def test_duplicate_registration_rejected(self):
-        info = ProtocolInfo(
-            name="__test_dup__", description="", build=lambda *a: []
-        )
+        info = ProtocolInfo(name="__test_dup__", description="", proc_cls=LrcProc)
         register(info)
         try:
             with pytest.raises(ValueError, match="registered twice"):
@@ -62,8 +60,40 @@ class TestBuild:
         tmk = TreadMarks(
             SimConfig(nprocs=2, protocol=name), heap_bytes=1 << 14
         )
+        info = get_protocol(name)
         for p in tmk.procs:
-            assert isinstance(p, ConsistencyProtocol)
+            assert type(p) is info.proc_cls
+
+    def test_declared_class_builds_with_its_peers_wired(self):
+        """A protocol is its class: ``ProtocolInfo(name, description,
+        proc_cls)`` alone yields engines of that class, each holding the
+        run's processor list as its peers."""
+
+        class Sub(LrcProc):
+            pass
+
+        info = ProtocolInfo(name="__test_sub__", description="", proc_cls=Sub)
+        register(info)
+        try:
+            tmk = TreadMarks(
+                SimConfig(nprocs=3, protocol="__test_sub__"),
+                heap_bytes=1 << 14,
+            )
+        finally:
+            del base._REGISTRY["__test_sub__"]
+        assert [type(p) for p in tmk.procs] == [Sub] * 3
+        for p in tmk.procs:
+            assert p.peers is tmk.procs
+
+    def test_swi_processors_share_one_directory(self):
+        tmk = TreadMarks(
+            SimConfig(nprocs=3, protocol="swi"), heap_bytes=1 << 14
+        )
+        directory = tmk.procs[0].directory
+        assert directory.excl.shape == (tmk.layout.nunits,)
+        for p in tmk.procs:
+            assert p.directory is directory
+            assert p.peers is tmk.procs
 
     @pytest.mark.parametrize("name", ZOO)
     def test_engines_share_clocks_with_the_engine(self, name):

@@ -112,13 +112,11 @@ PHASE_COUNTS = (
 )
 
 
-@pytest.fixture(scope="module", params=sorted(SMALL_DATASETS))
-def small_4k(request):
+@pytest.fixture(params=sorted(SMALL_DATASETS))
+def small_4k(request, traced_small_4k):
     """One traced run of an application's small golden cell at 4K."""
     app = request.param
-    res = run_app(get_app(app), SMALL_DATASETS[app],
-                  config_for("4K", trace=True))
-    return app, res.trace
+    return app, traced_small_4k(app).trace
 
 
 def test_phase_table_has_one_row_per_epoch(small_4k):
