@@ -69,7 +69,6 @@ from repro.analyze.predict import (
     _conflict_pages,
     merge,
     subtract,
-    total,
     useless_by_unit,
 )
 from repro.apps.base import get_app, run_app

@@ -125,9 +125,8 @@ class FFT3D(Application):
             local_abs = float(np.abs(mine).astype(np.float64).sum())
             proc.barrier()
             if proc.id == 0:
-                total = np.complex64(0)
                 for q in range(P):
-                    total += check.read(proc, (q, 0), 1)[0]
+                    check.read(proc, (q, 0), 1)
             proc.barrier()
 
         return self.collect_checksum(proc, handles, local_abs)

@@ -35,7 +35,6 @@ import numpy as np
 
 from repro.apps.base import Application, AppRegistry
 from repro.core.proc import Proc
-from repro.core.shared import SharedArray
 from repro.core.treadmarks import TreadMarks
 
 DT = np.float32(0.001)
@@ -107,7 +106,6 @@ class Shallow(Application):
     def worker(self, proc: Proc, handles: dict, params: dict) -> float:
         ncols, nrows, iters = params["ncols"], params["nrows"], params["iters"]
         lo, hi = self.block_range(ncols, proc.nprocs, proc.id)
-        P = proc.nprocs
 
         # Distributed initialization: owners write their own columns.
         init = _initial_state(ncols, nrows)
@@ -149,7 +147,6 @@ class Shallow(Application):
             # ---- Phase 2: update own columns from own flux writes only
             # (the j+1 slots we wrote: no reads of neighbour-written
             # flux columns -- the paper's pattern).
-            cu1 = cu  # our own writes, re-read locally
             pn, un, vn = _update_cols(p_own, u_own, v_own, cu, cv, z, h)
             proc.compute(flops=10 * (hi - lo) * nrows)
             a["pnew"].write_rows(proc, lo, pn)

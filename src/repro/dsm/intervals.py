@@ -4,9 +4,9 @@ An *interval* is the span of one processor's execution between two of its
 synchronization operations.  Closing an interval (at a release or barrier
 arrival) records the diffs of the units the processor wrote, packed
 (:class:`~repro.dsm.diff.PackedDiffs`; a :class:`Diff` is built only when
-one is requested), plus *write notices* -- (processor, interval, unit)
-triples that invalidate remote copies when they propagate at the next
-acquire.
+one is requested).  The :class:`Interval` is also its *write notice*:
+an acquirer appends it to the pending list of each unit it invalidates,
+and it counts those entries (:attr:`Interval.refs`) for the collector.
 
 ``commit_seq`` is a global monotone counter assigned at close time.
 Because the scheduling engine services synchronization operations in
@@ -20,18 +20,15 @@ concurrent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Container, Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.dsm.diff import Diff, PackedDiffs
 from repro.dsm.vc import VectorClock
 
-#: A pending write notice as the protocol stores it: the ``(proc,
-#: index, commit_seq)`` of the interval that wrote the unit.  One tuple
-#: per interval (:attr:`Interval.notice`), appended by reference to the
-#: pending list of every unit it invalidates.
-Notice = Tuple[int, int, int]
+#: A span-cache key: ``(proc, unit, first_index, last_index)``.
+SpanKey = Tuple[int, int, int, int]
 
 
 @dataclass(eq=False)
@@ -47,9 +44,12 @@ class Interval:
     """Global close-order stamp; a linear extension of happens-before."""
     diffs: PackedDiffs
     """The packed diff of every unit written during the interval."""
-    notice: Notice
-    """``(proc, index, commit_seq)``: the one notice object every
-    receiver's pending lists share."""
+    refs: int = 0
+    """Pending-list entries naming this interval, over all processors:
+    moved only by ``LrcProc._add_notices`` / ``_clear_notices``."""
+    spans: Optional[List[SpanKey]] = None
+    """The span-cache keys built from this interval's diffs, recorded
+    by :meth:`IntervalStore.cache_span` (None until the first)."""
 
     @property
     def units(self) -> np.ndarray:
@@ -96,8 +96,8 @@ class IntervalStore:
         diff; every later requester is served the stored object.  A key
         names its constituent intervals (those of ``proc`` in the index
         range that wrote ``unit``), so equal keys mean equal diffs.
-        Written by every protocol that creates diffs; entries leave only
-        through :meth:`collect`, with the intervals they cover."""
+        Written only by :meth:`cache_span`; entries leave only through
+        :meth:`collect`, with the intervals they were built from."""
 
     def close_interval(
         self, proc: int, vc: VectorClock, diffs: PackedDiffs
@@ -115,7 +115,7 @@ class IntervalStore:
         seq = self._commit_counter = self._commit_counter + 1
         interval = Interval(
             proc=proc, index=expected, vc=vc.copy(), commit_seq=seq,
-            diffs=diffs, notice=(proc, expected, seq),
+            diffs=diffs,
         )
         self._by_proc[proc][expected] = interval
         self._closed_count[proc] = expected
@@ -156,43 +156,46 @@ class IntervalStore:
         for i in range(after + 1, upto + 1):
             yield self.get(proc, i)
 
-    def collect(
-        self, known_vc: VectorClock, referenced: Container[Tuple[int, int]]
-    ) -> int:
+    def cache_span(
+        self, key: SpanKey, diff: Diff, intervals: Sequence[Interval]
+    ) -> None:
+        """Cache ``diff`` under ``key``, built from ``intervals`` (the
+        key's constituents), and record the key on each of them so the
+        first of them :meth:`collect` reclaims takes the entry along."""
+        self.diff_scan_cache[key] = diff
+        for interval in intervals:
+            if interval.spans is None:
+                interval.spans = [key]
+            else:
+                interval.spans.append(key)
+
+    def collect(self, known_vc: VectorClock) -> int:
         """Garbage-collect intervals, as TreadMarks does periodically.
 
         An interval (p, i) is reclaimable when every processor's
         knowledge covers it (``i <= known_vc[p]``, so its write notices
-        can never be delivered again) and no processor still holds a
-        pending notice for it (``(p, i) not in referenced``, so its
-        diffs can never be requested again).  Returns the number of
-        intervals reclaimed.
+        can never be delivered again) and no pending list names it
+        (``refs == 0``, so its diffs can never be requested again).
+        Returns the number of intervals reclaimed.
+
+        A cached span goes with the first of its constituent intervals
+        to go, so a hit always has live intervals behind it.  The keys a
+        reclaimed interval recorded are exactly the spans that name it:
+        a span is built from the writer's intervals in ``[first, last]``
+        that wrote the unit (a fetch clears every notice of a unit), so
+        "``(p, i)`` is reclaimed, in range and wrote the unit" holds
+        for precisely the recorded keys.
         """
         dropped = 0
-        # Per processor: reclaimed interval index -> the units it wrote.
-        reclaimed: List[Dict[int, Container[int]]] = []
+        cache = self.diff_scan_cache
         for p in range(self.nprocs):
             live = self._by_proc[p]
             dead = [
-                i for i in live if i <= known_vc[p] and (p, i) not in referenced
+                i for i, iv in live.items() if i <= known_vc[p] and not iv.refs
             ]
-            reclaimed.append({i: set(live.pop(i).units.tolist()) for i in dead})
+            for i in dead:
+                for key in live.pop(i).spans or ():
+                    cache.pop(key, None)
             dropped += len(dead)
         self.collected += dropped
-        if dropped:
-            # A cached span goes as soon as one of its constituent
-            # intervals does: a hit always has live intervals behind it,
-            # and a request for a span GC should have kept alive misses
-            # and raises in :meth:`get` instead of being served.
-            cache = self.diff_scan_cache
-            stale = [
-                (p, unit, first, last)
-                for p, unit, first, last in cache
-                if any(
-                    unit in reclaimed[p].get(i, ())
-                    for i in range(first, last + 1)
-                )
-            ]
-            for key in stale:
-                del cache[key]
         return dropped

@@ -14,7 +14,7 @@ Life cycle of a write, exactly as in TreadMarks:
    memory-protection operation);
 2. at the next synchronization the interval *closes*: each twinned unit
    is compared to the current contents to create a word-granularity diff,
-   and (proc, interval, unit) write notices are published;
+   and the closed interval is the write notice of every unit it wrote;
 3. an acquire (or barrier departure) delivers to the acquirer all write
    notices it has not seen, invalidating the named units;
 4. the first access to an invalid unit faults; the faulting processor
@@ -38,7 +38,7 @@ from repro.dsm.address_space import AddressSpace, SharedHeapLayout
 from repro.dsm.diff import (
     ONE_RUN_BYTES, WORD, Diff, PackedDiffs, merge_diffs, pack_diffs,
 )
-from repro.dsm.intervals import IntervalStore, Notice, WriteNotice
+from repro.dsm.intervals import Interval, IntervalStore, WriteNotice
 from repro.dsm.vc import VectorClock
 from repro.sim.clock import Clock
 from repro.sim.config import SimConfig
@@ -55,9 +55,9 @@ REQUEST_BASE_BYTES = 8
 REQUEST_ENTRY_BYTES = 12
 
 
-def _commit_seq(entry: Tuple[Notice, int]) -> int:
-    """Sort key of a ``(notice, unit)`` pair in :meth:`LrcProc.fetch`."""
-    return entry[0][2]
+def _commit_seq(entry: Tuple[Interval, int]) -> int:
+    """Sort key of an ``(interval, unit)`` pair in :meth:`LrcProc.fetch`."""
+    return entry[0].commit_seq
 
 
 class LrcProc:
@@ -90,10 +90,10 @@ class LrcProc:
             layout.nwords, credit, unit_words=layout.words_per_unit
         )
         self.vc = VectorClock(config.nprocs)
-        self.pending: Dict[int, List[Notice]] = {}
+        self.pending: Dict[int, List[Interval]] = {}
         """unit -> its pending notices in arrival order: the writing
-        intervals' shared :attr:`~repro.dsm.intervals.Interval.notice`
-        tuples, appended by reference (no per-notice object)."""
+        :class:`~repro.dsm.intervals.Interval` objects themselves (no
+        per-notice object)."""
         self.pending_n = np.zeros(layout.nunits, dtype=np.int32)
         """``len(self.pending[unit])`` per unit.  The notice lists are
         what a fetch consumes; every *emptiness* question (aggregator
@@ -483,7 +483,7 @@ class LrcProc:
                 n += interval.units.shape[0]
                 units = self._invalidated_units(interval.units)
                 if units.shape[0]:
-                    newly_invalid += self._add_notices(units, interval.notice)
+                    newly_invalid += self._add_notices(units, interval)
         self.vc.join(new_vc)
         cost = newly_invalid * self.config.mprotect_us
         self.stats.mprotects += newly_invalid
@@ -496,22 +496,23 @@ class LrcProc:
         return units
 
     # ------------------------------------------------------------------
-    # Pending write notices: the only code that mutates ``pending`` and
-    # ``pending_n``
+    # Pending write notices: the only code that mutates ``pending``,
+    # ``pending_n`` and ``Interval.refs``
     # ------------------------------------------------------------------
-    def _add_notices(self, units: np.ndarray, notice: Notice) -> int:
-        """Append ``notice`` -- the shared ``(proc, index, commit_seq)``
-        of the interval that wrote them -- to each of ``units``
-        (distinct) and invalidate them; returns how many were valid
-        until now.
+    def _add_notices(self, units: np.ndarray, interval: Interval) -> int:
+        """Append ``interval`` -- the one that wrote them -- to the
+        pending list of each of ``units`` (distinct), count the entries
+        in its ``refs`` and invalidate the units; returns how many were
+        valid until now.
 
         The per-unit side effects are batched: the units are distinct,
         so testing ``pending_n == 0`` before the increments is exactly
         the per-notice emptiness check (``pending_n == 0`` exactly when
         the unit has no list yet), and clearing twin persistence /
         access validity is idempotent.  What remains per unit is one
-        list append of the shared tuple, because :meth:`fetch` consumes
+        list append of the interval, because :meth:`fetch` consumes
         notices as ordered per-unit lists."""
+        interval.refs += units.shape[0]
         pending_n = self.pending_n
         fresh = pending_n[units] == 0
         pending_n[units] += 1
@@ -519,27 +520,29 @@ class LrcProc:
         self.aggregator.on_invalidate(units)
         pending = self.pending
         for unit in units[~fresh].tolist():
-            pending[unit].append(notice)
+            pending[unit].append(interval)
         for unit in units[fresh].tolist():
-            pending[unit] = [notice]
+            pending[unit] = [interval]
         return int(np.count_nonzero(fresh))
 
     def _clear_notices(self, units: Sequence[int]) -> None:
         """Drop every pending notice of ``units`` (their data is now
-        current)."""
+        current) and its count on its interval."""
+        pending = self.pending
         for unit in units:
-            self.pending.pop(unit, None)
+            for interval in pending.pop(unit, ()):
+                interval.refs -= 1
             self.pending_n[unit] = 0
 
     def pending_notices(self) -> Iterator[WriteNotice]:
         """Every pending notice as a :class:`WriteNotice`, by ascending
         unit and in arrival order within a unit -- what the model
         checker hashes (built here, on request: the protocol itself
-        keeps only the shared tuples)."""
+        keeps only the intervals)."""
         pending = self.pending
         for unit in sorted(pending):
-            for proc, index, commit_seq in pending[unit]:
-                yield WriteNotice(proc, index, unit, commit_seq)
+            for iv in pending[unit]:
+                yield WriteNotice(iv.proc, iv.index, unit, iv.commit_seq)
 
     # ------------------------------------------------------------------
     # Fault service
@@ -566,20 +569,26 @@ class LrcProc:
         # stable sort leaves such ties in arrival order.
         pending_get = self.pending.get
         notices = sorted(
-            ((nt, unit) for unit in units for nt in pending_get(unit, ())),
+            ((iv, unit) for unit in units for iv in pending_get(unit, ())),
             key=_commit_seq,
         )
         if not notices:
             raise AssertionError(f"fetch with nothing pending: units={units}")
-        # (writer, unit, [interval indices]) per run; notices per writer.
-        runs: List[Tuple[int, int, List[int]]] = []
+        # (writer, unit, [intervals]) per run; notices per writer.
+        runs: List[Tuple[int, int, List[Interval]]] = []
         by_writer: Dict[int, int] = {}
-        for (writer, index, _), unit in notices:
+        for interval, unit in notices:
+            writer = interval.proc
+            if interval.refs <= 0:  # so a collector could have taken it
+                raise KeyError(
+                    f"interval ({writer}, {interval.index}) was garbage "
+                    f"collected while still needed -- GC safety violation"
+                )
             by_writer[writer] = by_writer.get(writer, 0) + 1
             if runs and runs[-1][0] == writer and runs[-1][1] == unit:
-                runs[-1][2].append(index)
+                runs[-1][2].append(interval)
             else:
-                runs.append((writer, unit, [index]))
+                runs.append((writer, unit, [interval]))
 
         config = self.config
         now = self.clock.now
@@ -592,21 +601,20 @@ class LrcProc:
         run_reply = [0] * len(runs)
         writer_runs: Dict[int, List[int]] = {w: [] for w in by_writer}
         writer_diff_cost: Dict[int, float] = {w: 0.0 for w in by_writer}
-        store_get = self.store.get
         span_cache = self.store.diff_scan_cache
+        cache_span = self.store.cache_span
         unit_scan_us = self.layout.unit_bytes * config.diff_create_byte_us
         wpu = self._wpu
-        for position, (writer, unit, indices) in enumerate(runs):
+        for position, (writer, unit, intervals) in enumerate(runs):
             # Lazy diffing: the writer scans the unit when a span is
             # first requested (the cost sits on the response path) and
             # caches the result; later requests for the same span are
             # served the cached diff.
-            key = (writer, unit, indices[0], indices[-1])
+            key = (writer, unit, intervals[0].index, intervals[-1].index)
             d = span_cache.get(key)
             if d is None:
-                d = span_cache[key] = merge_diffs(
-                    [store_get(writer, i).diff_for(unit) for i in indices], wpu
-                )
+                d = merge_diffs([iv.diff_for(unit) for iv in intervals], wpu)
+                cache_span(key, d, intervals)
                 writer_diff_cost[writer] += unit_scan_us
                 self.stats.diffs_created += 1
                 self.stats.diff_words_created += d.nwords

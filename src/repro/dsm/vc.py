@@ -8,7 +8,7 @@ interval of q is known".
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List
+from typing import Iterator, List
 
 
 class VectorClock:

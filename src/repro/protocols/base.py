@@ -197,10 +197,9 @@ def eager_diff(
     caller's messages."""
     d = interval.diff_for(unit)
     key = (proc.pid, unit, interval.index, interval.index)
-    cache = proc.store.diff_scan_cache
-    if key in cache:
+    if key in proc.store.diff_scan_cache:
         return d, 0.0
-    cache[key] = d
+    proc.store.cache_span(key, d, (interval,))
     proc.stats.diffs_created += 1
     proc.stats.diff_words_created += d.nwords
     if proc.trace is not None:

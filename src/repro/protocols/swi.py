@@ -38,10 +38,12 @@ Modelling notes:
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 from typing import Any, List, Sequence, Set, cast
 
 import numpy as np
 
+from repro.dsm.intervals import Interval
 from repro.dsm.lrc import LrcProc
 from repro.protocols.base import ProtocolInfo, fetch_whole_units, register
 from repro.sim.network import MessageClass
@@ -53,12 +55,14 @@ INVALIDATE_BYTES = 12
 INVALIDATE_ACK_BYTES = 8
 
 
-#: The ``(proc, index, commit_seq)`` notice that marks an invalidated
-#: unit pending.  SWI has no intervals, so the fields are dummies: only
-#: the unit's nonzero ``pending_n`` (tested by the aggregators and
-#: :meth:`SwiProc.fetch`) matters.  ``proc=-1`` can never collide with a
-#: real interval in the barrier GC's referenced-set bookkeeping.
-_SENTINEL = (-1, 0, 0)
+#: The interval stand-in that marks an invalidated unit pending.  SWI
+#: has no intervals, so the fields are dummies: only the unit's nonzero
+#: ``pending_n`` (tested by the aggregators and :meth:`SwiProc.fetch`)
+#: matters.  It never enters a store, so no collector sees it, and its
+#: ``refs`` count, moved like any interval's, is never read.
+_SENTINEL = cast(
+    Interval, SimpleNamespace(proc=-1, index=0, commit_seq=0, refs=0)
+)
 
 
 class OwnershipDirectory:

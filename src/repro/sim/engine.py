@@ -41,7 +41,7 @@ from __future__ import annotations
 import enum
 import heapq
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 from repro.sim.clock import Clock

@@ -3,7 +3,9 @@ the DRF self-check, witnesses, and the seeded-bug mutation gate.
 
 The expensive litmus programs (fs-diff-merge, migratory) are covered by
 the committed state-count baseline and the CI gate; the tests here keep
-to the cheap programs so the tier-1 suite stays fast.
+to the cheap programs so the tier-1 suite stays fast, plus fs-diff-merge
+under the two eager-diff protocols, whose flush/push delivery into a
+live twin only that program's concurrent writers of one unit reach.
 """
 
 from __future__ import annotations
@@ -68,6 +70,13 @@ def test_committed_baseline_matches_fresh_exploration(explored):
     known = load_baseline()
     for (name, proto), res in explored.items():
         assert known[f"{name}/{proto}"] == res.baseline_entry()
+
+
+@pytest.mark.parametrize("proto", ["erc", "hlrc"])
+def test_fs_diff_merge_matches_committed_state_counts(proto):
+    res = explore(LITMUS_TESTS["fs-diff-merge"], get_protocol(proto))
+    assert res.ok, res.violation
+    assert load_baseline()[f"fs-diff-merge/{proto}"] == res.baseline_entry()
 
 
 def test_racy_litmus_rejected_as_litmus_error():

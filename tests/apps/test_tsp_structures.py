@@ -1,7 +1,6 @@
 """TSP's shared data structures: the binary heap and the free ring."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -12,7 +12,7 @@ oracle; this suite drives randomized inputs through both and asserts
   round-trip invariants of each diff the record builds
 * the batched write-notice application's ``pending_n`` counter array
   vs the per-unit ``pending`` lists it summarizes, whose entries are the
-  writing intervals' shared notice tuples
+  writing intervals themselves, each counting its entries in ``refs``
 * random gather/scatter programs under ``access_mode='bulk'`` vs the
   range-decomposed ``'scalar'`` mode, over every protocol, static and
   dynamic units, and raw ranges that straddle units, span more than two,
@@ -21,6 +21,7 @@ oracle; this suite drives randomized inputs through both and asserts
 
 import dataclasses
 import sys
+from collections import Counter
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -343,8 +344,10 @@ def test_interval_diffs_match_reference_in_situ(program):
 def test_pending_n_matches_pending_lists(program):
     """After every batched notice application the ``pending_n`` counter
     array must equal the lengths of the per-unit notice lists it
-    summarizes (the fetch path trusts the array to find cold units), and
-    every listed notice is its interval's one shared tuple."""
+    summarizes (the fetch path trusts the array to find cold units),
+    every listed notice is the store's interval object, and each live
+    interval's ``refs`` (what the collector reads) is the number of
+    entries naming it, summed over all processors."""
     nprocs, rounds = program
     orig = LrcProc.apply_notices_upto
     calls = []
@@ -353,8 +356,14 @@ def test_pending_n_matches_pending_lists(program):
         out = orig(self, new_vc)
         for unit, lst in self.pending.items():
             assert self.pending_n[unit] == len(lst), unit
-            for nt in lst:
-                assert nt is self.store.get(nt[0], nt[1]).notice
+            for iv in lst:
+                assert iv is self.store.get(iv.proc, iv.index)
+        named = Counter(
+            iv for lp in self.peers for lst in lp.pending.values() for iv in lst
+        )
+        for p in range(nprocs):
+            for iv in self.store._by_proc[p].values():
+                assert iv.refs == named[iv], (iv.proc, iv.index)
         calls.append(1)
         return out
 

@@ -1,6 +1,5 @@
 """Proc facade behaviour."""
 
-import numpy as np
 import pytest
 
 from repro.core import SimConfig, TreadMarks

@@ -29,7 +29,7 @@ class TestAllocation:
             tmk.array("bad", (4,), "int16")
 
     def test_page_alignment(self, tmk):
-        a = tmk.array("a", (4,), "float32")
+        tmk.array("a", (4,), "float32")
         b = tmk.array("b", (4,), "float32")
         assert b.alloc.offset % 4096 == 0
 

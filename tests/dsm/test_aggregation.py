@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import SimConfig, TreadMarks
-from repro.dsm.aggregation import DynamicAggregator, StaticAggregator, make_aggregator
+from repro.dsm.aggregation import DynamicAggregator, StaticAggregator
 
 
 def run(nprocs, body, **cfg):

@@ -65,21 +65,24 @@ def test_gc_transparent_on_applications(name):
 
 
 def test_collect_respects_references():
-    store = IntervalStore(nprocs=2)
-    for i in range(1, 6):
-        close(store, 0, [i, 0], [0])
-    known = VectorClock([5, 0])
-    dropped = store.collect(known, referenced={(0, 3)})
-    assert dropped == 4
-    assert store.get(0, 3).index == 3  # referenced one survives
+    """Interval k writes unit k - 1; both readers fault in every unit
+    but unit 2, so only interval 3 is still named by pending lists."""
+    tmk, writer, readers = hand_driven(words=(1, 1024 + 1, 2048 + 1, 3072 + 1))
+    for reader in readers:
+        for unit in (0, 1, 3):
+            reader.read_words(unit * 1024, 4)
+    assert [tmk.store.get(0, i).refs for i in range(1, 5)] == [0, 0, 2, 0]
+    dropped = tmk.store.collect(writer.vc)
+    assert dropped == 3
+    assert tmk.store.get(0, 3).index == 3  # referenced one survives
     with pytest.raises(KeyError, match="garbage collected"):
-        store.get(0, 2)
+        tmk.store.get(0, 2)
 
 
 def test_collect_ignores_unknown_intervals():
     store = IntervalStore(nprocs=2)
     close(store, 1, [0, 1], [0])
-    dropped = store.collect(VectorClock([0, 0]), referenced=set())
+    dropped = store.collect(VectorClock([0, 0]))
     assert dropped == 0
     assert store.count() == 1
 
@@ -94,22 +97,48 @@ def span_run(gc_threshold, monkeypatch=None, audit=None):
     readers then request again, while the shared units' notices
     interleave writers (single-interval runs).  A lock-protected counter
     adds intervals between the barrier ones."""
+    run = {}
     if audit is not None:
         real = IntervalStore.collect
 
-        def audited(self, known_vc, referenced):
+        def audited(self, known_vc):
             before = {
                 (p, i): set(iv.units.tolist())
                 for p in range(self.nprocs)
                 for i, iv in self._by_proc[p].items()
             }
             keys_before = set(self.diff_scan_cache)
-            dropped = real(self, known_vc, referenced)
+            # The rule the collector had before intervals counted their
+            # own references: scan every processor's pending lists for
+            # the intervals they name, then every cache key for one
+            # built from a reclaimed interval's write of its unit.
+            referenced = {
+                (iv.proc, iv.index)
+                for lp in run["tmk"].procs
+                for notices in lp.pending.values()
+                for iv in notices
+            }
+            expect_gone = {
+                (p, i) for p, i in before
+                if i <= known_vc[p] and (p, i) not in referenced
+            }
+            expect_evicted = {
+                (p, unit, first, last)
+                for p, unit, first, last in sorted(keys_before)
+                if any(
+                    (p, i) in expect_gone and unit in before[p, i]
+                    for i in range(first, last + 1)
+                )
+            }
+            dropped = real(self, known_vc)
+            live = {(p, i) for p in range(self.nprocs) for i in self._by_proc[p]}
+            assert set(before) - live == expect_gone
+            assert keys_before - set(self.diff_scan_cache) == expect_evicted
             audit(self, before, keys_before, dropped)
             return dropped
 
         monkeypatch.setattr(IntervalStore, "collect", audited)
-    tmk = TreadMarks(
+    tmk = run["tmk"] = TreadMarks(
         SimConfig(nprocs=4, gc_threshold=gc_threshold), heap_bytes=1 << 16
     )
     arr = tmk.array("a", (8192,), "uint32")
@@ -232,14 +261,16 @@ def test_merged_cached_diff_is_read_only():
 def test_gc_safety_violation_is_not_hidden_by_the_span_cache(remembered):
     """A collector that forgets a pending notice must still be caught:
     the span's cache entry leaves with the first of its intervals to go
-    -- whichever that is -- so the forgotten requester misses and
-    ``store.get`` raises."""
+    -- whichever that is -- and the forgotten requester's fetch refuses
+    the interval its pending list names but no count holds."""
     tmk, writer, (r1, r2) = hand_driven()
     r1.read_words(0, 4)
     key = (0, 0, 1, 2)
     assert key in tmk.store.diff_scan_cache
-    referenced = {(0, i) for i in remembered}  # r2 holds (0, 1) and (0, 2)
-    assert tmk.store.collect(writer.vc, referenced) == 2 - len(remembered)
+    for i in (1, 2):  # r2 holds (0, 1) and (0, 2)
+        if i not in remembered:
+            tmk.store.get(0, i).refs = 0
+    assert tmk.store.collect(writer.vc) == 2 - len(remembered)
     assert key not in tmk.store.diff_scan_cache
     with pytest.raises(KeyError, match="garbage collected while still needed"):
         r2.read_words(0, 4)
@@ -254,9 +285,8 @@ def test_span_outlives_an_interval_that_wrote_another_unit():
     r1.read_words(1024, 4)
     r2.read_words(1024, 4)
     assert set(tmk.store.diff_scan_cache) == {(0, 0, 1, 3), (0, 1, 2, 2)}
-    referenced = {(nt.proc, nt.index) for nt in r2.pending_notices()}
-    assert referenced == {(0, 1), (0, 3)}
-    assert tmk.store.collect(writer.vc, referenced) == 1
+    assert [tmk.store.get(0, i).refs for i in (1, 2, 3)] == [1, 0, 1]
+    assert tmk.store.collect(writer.vc) == 1
     assert set(tmk.store.diff_scan_cache) == {(0, 0, 1, 3)}
     created = tmk.stats.diffs_created
     assert r2.read_words(0, 4).tolist() == [0, 1, 3, 0]
@@ -266,8 +296,7 @@ def test_span_outlives_an_interval_that_wrote_another_unit():
 def test_span_with_live_intervals_survives_collect():
     tmk, writer, (r1, r2) = hand_driven()
     r1.read_words(0, 4)
-    referenced = {(nt.proc, nt.index) for nt in r2.pending_notices()}
-    assert tmk.store.collect(writer.vc, referenced) == 0
+    assert tmk.store.collect(writer.vc) == 0
     cached = tmk.store.diff_scan_cache[0, 0, 1, 2]
     r2.read_words(0, 4)
     assert tmk.stats.diffs_created == 1

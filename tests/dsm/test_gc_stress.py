@@ -41,8 +41,8 @@ def stress_matrix(protocol: str, monkeypatch: pytest.MonkeyPatch) -> int:
     reclaimed = [0]
     real = IntervalStore.collect
 
-    def counted(self, known_vc, referenced):
-        dropped = real(self, known_vc, referenced)
+    def counted(self, known_vc):
+        dropped = real(self, known_vc)
         reclaimed[0] += dropped
         return dropped
 

@@ -75,8 +75,8 @@ def test_diff_for_missing_unit_raises(store):
         iv.diff_for(4)
 
 
-def test_interval_shares_one_notice_tuple(store):
+def test_interval_starts_unreferenced(store):
     iv = close(store, 1, [0, 1, 0], [7, 3])
-    assert iv.notice == (1, 1, iv.commit_seq)
+    assert (iv.refs, iv.spans) == (0, None)
     assert iv.units.tolist() == [3, 7]
     assert not iv.units.flags.writeable

@@ -2,7 +2,8 @@
 
 This is the test-suite twin of ``python -m repro.bench --check``: every
 application's smallest paper dataset at each consistency unit, plus the
-microbenchmarks, must match ``benchmarks/golden/`` counter-for-counter.
+microbenchmarks, must match ``benchmarks/golden/`` counter-for-counter;
+three cheap applications do the same under the other protocols.
 Any protocol, simulator, or application change that shifts a message,
 byte, fault, or simulated-time counter fails here with a field-level
 diff; if the shift is intended, regenerate the baselines with
@@ -18,10 +19,12 @@ from repro.bench.golden import (
     GOLDEN_DIR,
     GOLDEN_LABELS,
     SMALL_DATASETS,
+    _protocol_extra,
     compare_case,
     load_app_golden,
 )
 from repro.bench.harness import ResultCache
+from repro.sim.config import DEFAULT_PROTOCOL
 
 
 def test_baselines_are_committed_for_all_eight_apps():
@@ -33,19 +36,34 @@ def test_baselines_are_committed_for_all_eight_apps():
     assert (GOLDEN_DIR / "micro.json").is_file()
 
 
+def assert_matches_golden(app, protocol=DEFAULT_PROTOCOL):
+    ds = SMALL_DATASETS[app]
+    gold = load_app_golden(GOLDEN_DIR, app, protocol)
+    mismatches = []
+    for label in GOLDEN_LABELS:
+        entry = gold.get(ds, {}).get(label)
+        assert entry is not None, f"no {protocol} baseline for {app}/{ds}@{label}"
+        case = ResultCache.get(app, ds, label, **_protocol_extra(protocol))
+        mismatches.extend(
+            compare_case(f"{protocol} {app}/{ds}@{label}", case, entry)
+        )
+    assert not mismatches, "\n" + "\n".join(m.render() for m in mismatches)
+
+
 @pytest.mark.parametrize("app", sorted(SMALL_DATASETS))
 def test_app_matches_golden_baselines(app):
     """One exact-match check per application (split per app so a failure
     names the culprit and the rest still report)."""
-    ds = SMALL_DATASETS[app]
-    gold = load_app_golden(GOLDEN_DIR, app)
-    mismatches = []
-    for label in GOLDEN_LABELS:
-        entry = gold.get(ds, {}).get(label)
-        assert entry is not None, f"no baseline for {app}/{ds}@{label}"
-        case = ResultCache.get(app, ds, label)
-        mismatches.extend(compare_case(f"{app}/{ds}@{label}", case, entry))
-    assert not mismatches, "\n" + "\n".join(m.render() for m in mismatches)
+    assert_matches_golden(app)
+
+
+@pytest.mark.parametrize("protocol", ["erc", "hlrc", "swi"])
+@pytest.mark.parametrize("app", ["ILINK", "Jacobi", "Water"])
+def test_zoo_protocol_matches_golden_baselines(app, protocol):
+    """The other protocols' cost counters on three cheap applications
+    (the whole matrix runs in CI): whole-unit fetch, eager flush/push
+    and ownership transfer each move a counter one of these pins."""
+    assert_matches_golden(app, protocol)
 
 
 def test_micro_matches_golden_baselines():

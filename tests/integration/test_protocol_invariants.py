@@ -7,7 +7,6 @@ workload; they are checked here over several full application runs
 
 import pytest
 
-from repro.apps.base import run_app
 from repro.core.treadmarks import TreadMarks
 from repro.sim.config import SimConfig
 from repro.sim.network import DATA_CLASSES, MessageClass

@@ -52,7 +52,7 @@ def test_malloc_never_overlaps(sizes, page_align):
         a = lay.malloc(f"a{i}", nbytes, page_align=page_align)
         spans.append((a.offset, a.offset + a.nbytes))
     spans.sort()
-    for (s0, e0), (s1, e1) in zip(spans, spans[1:]):
+    for (s0, e0), (s1, e1) in zip(spans[:-1], spans[1:], strict=True):
         assert e0 <= s1
     for s, e in spans:
         assert s % 4 == 0 and (e - s) % 4 == 0

@@ -14,7 +14,6 @@ of the coherence-invariance requirement.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

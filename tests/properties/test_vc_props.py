@@ -1,6 +1,6 @@
 """Vector clock partial-order laws (hypothesis)."""
 
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.dsm.vc import VectorClock
@@ -42,7 +42,7 @@ def test_join_is_least_upper_bound(ab):
     j = a.joined(b)
     assert a <= j and b <= j
     # Any other upper bound dominates the join.
-    ub = VectorClock([max(x, y) + 1 for x, y in zip(a, b)])
+    ub = VectorClock([max(x, y) + 1 for x, y in zip(a, b, strict=True)])
     assert j <= ub
 
 

@@ -1,7 +1,6 @@
 """Home-based LRC: home assignment, eager flushes, single-exchange faults."""
 
 import numpy as np
-import pytest
 
 from repro.core import SimConfig, TreadMarks
 from repro.sim.network import MessageClass

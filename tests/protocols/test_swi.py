@@ -1,7 +1,6 @@
 """Single-writer invalidate: ownership ping-pong, invalidations, M-state."""
 
 import numpy as np
-import pytest
 
 from repro.core import SimConfig, TreadMarks
 from repro.sim.network import MessageClass

@@ -1,6 +1,5 @@
 """Protocol counters and fault records."""
 
-import pytest
 
 from repro.stats.counters import ProtocolStats
 

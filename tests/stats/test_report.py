@@ -5,7 +5,6 @@ import pytest
 
 from repro.core import SimConfig, TreadMarks
 from repro.sim.network import MessageClass
-from repro.stats.report import summarize_comm
 
 
 def run_pattern(body, nprocs=4, **cfg):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import SimConfig, TreadMarks
-from repro.stats.signature import FalseSharingSignature, SignatureBucket
+from repro.stats.signature import FalseSharingSignature
 
 
 def run_pattern(body, nprocs=4, **cfg):

@@ -6,7 +6,7 @@ import pytest
 
 from repro.apps.base import run_app
 from repro.core import SimConfig, TreadMarks
-from repro.trace.hb import build_segments, coalesce, detect_races, first_overlap
+from repro.trace.hb import coalesce, detect_races, first_overlap
 
 from tests.conftest import ALL_APPS, tiny_app
 

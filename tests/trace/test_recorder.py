@@ -1,7 +1,6 @@
 """Recorder semantics: eid assignment, hook coverage over a real run."""
 
 import numpy as np
-import pytest
 
 from repro.core import SimConfig, TreadMarks
 from repro.sim.config import SimConfig as _SimConfig
@@ -119,7 +118,7 @@ def test_message_events_match_network_ledger():
     res = _run_tiny()
     msgs = res.trace.by_kind("message")
     assert len(msgs) == len(res.trace.network.messages)
-    for ev, rec in zip(msgs, res.trace.network.messages):
+    for ev, rec in zip(msgs, res.trace.network.messages, strict=True):
         assert ev.msg_id == rec.msg_id
         assert ev.src == rec.src and ev.dst == rec.dst
         assert ev.payload_bytes == rec.payload_bytes

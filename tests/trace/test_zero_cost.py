@@ -50,7 +50,7 @@ def test_traced_run_is_bit_identical(name, kw):
             continue
         assert getattr(traced.stats, f.name) == getattr(plain.stats, f.name), f.name
     assert len(traced.stats.fault_records) == len(plain.stats.fault_records)
-    for a, b in zip(plain.stats.fault_records, traced.stats.fault_records):
+    for a, b in zip(plain.stats.fault_records, traced.stats.fault_records, strict=True):
         for f in dataclasses.fields(a):
             if f.name == "trace_eid":
                 continue
