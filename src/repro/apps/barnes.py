@@ -61,7 +61,9 @@ def _initial_bodies_cached(n: int) -> np.ndarray:
     b[:, 3:6] = rng.standard_normal((n, 3)).astype(np.float32) * 0.1
     b[:, 9] = np.float32(1.0)
     order = np.argsort(_morton_keys(b[:, 0:3]), kind="stable")
-    return b[order]
+    drawn = b[order]
+    drawn.flags.writeable = False  # shared by every caller
+    return drawn
 
 
 def _initial_bodies(n: int) -> np.ndarray:
@@ -70,8 +72,9 @@ def _initial_bodies(n: int) -> np.ndarray:
     clusters and the costzone partition owns whole pages (write-write
     false sharing concentrates at partition boundaries).
 
-    Every worker regenerates the same array, so the draw is cached and a
-    fresh copy handed out (callers mutate their copy in place)."""
+    Every worker and the reference need the same array, so the draw is
+    cached (read-only) and a fresh copy handed out to callers that
+    mutate it in place; workers write their range from the cache."""
     return _initial_bodies_cached(n).copy()
 
 
@@ -524,9 +527,10 @@ class Barnes(Application):
         n, iters = params["n"], params["iters"]
         mine = _owned(n, proc.nprocs, proc.id)
 
-        # Distributed initialization: owners write their body ranges.
-        init = _initial_bodies(n)
+        # Distributed initialization: owners write their body ranges
+        # straight from the shared draw (no full-size copy per worker).
         if mine:
+            init = _initial_bodies_cached(n)
             bodies.write_rows(proc, mine[0], init[mine[0] : mine[-1] + 1])
         proc.barrier()
 

@@ -83,9 +83,11 @@ class FFT3D(Application):
         lo1, hi1 = self.block_range(n1, P, proc.id)   # slab of a
         lo2, hi2 = self.block_range(n2, P, proc.id)   # slab of b
 
-        # Distributed initialization: each owner writes its slab.
+        # Distributed initialization: each owner writes its slab and
+        # drops the full-size field.
         field = _initial_field(n1, n2, n3)
         a.write(proc, (lo1, 0, 0), field[lo1:hi1].ravel())
+        del field
         proc.barrier()
 
         local_abs = 0.0

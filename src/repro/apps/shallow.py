@@ -107,10 +107,13 @@ class Shallow(Application):
         ncols, nrows, iters = params["ncols"], params["nrows"], params["iters"]
         lo, hi = self.block_range(ncols, proc.nprocs, proc.id)
 
-        # Distributed initialization: owners write their own columns.
+        # Distributed initialization: owners write their own columns,
+        # then drop the full-size grids before the run (every worker
+        # would otherwise hold three whole arrays to the end).
         init = _initial_state(ncols, nrows)
         for n in STATE:
             handles[n].write_rows(proc, lo, init[n][lo:hi])
+        del init
         proc.barrier()
 
         a = handles

@@ -18,6 +18,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.dsm.diff import WORD
+from repro.sim.memory import sparse_zeros
 
 
 @dataclass(frozen=True)
@@ -143,7 +144,7 @@ class AddressSpace:
 
     def __init__(self, layout: SharedHeapLayout) -> None:
         self.layout = layout
-        self.words = np.zeros(layout.nwords, dtype=np.uint32)
+        self.words = sparse_zeros(layout.nwords, np.uint32)
 
     def unit_view(self, unit: int) -> np.ndarray:
         """Writable uint32 view of one consistency unit."""

@@ -20,6 +20,8 @@ from typing import Callable
 
 import numpy as np
 
+from repro.sim.memory import sparse_zeros
+
 
 class WordTracker:
     """Tracks pending diff-installed words for one processor.
@@ -42,10 +44,10 @@ class WordTracker:
         credit: Callable[[int, int], None],
         unit_words: int = 0,
     ) -> None:
-        self._owner = np.zeros(nwords, dtype=np.int32)
+        self._owner = sparse_zeros(nwords, np.int32)
         """``msg_id + 1`` of the message that installed each pending
         word, 0 where nothing is pending.  Zero-based so the array can
-        come from ``np.zeros``: it is as large as the heap, one per
+        come from zeroed memory: it is as large as the heap, one per
         processor, and pages no diff ever lands on are never touched
         and never become resident."""
         self._credit = credit
