@@ -12,13 +12,14 @@ state-hash deduplication.
 
 Oracle
 ------
-All litmus programs are data-race-free by construction (a built-in
-vector-clock race detector rejects racy litmus definitions as *litmus*
-errors, not protocol violations).  For a DRF program, release
-consistency admits exactly one value per read: the last write in
-happens-before order -- which, because every executed schedule is a
-linear extension of happens-before, equals the last write *executed* at
-the time of the read.  The oracle therefore maintains a plain reference
+All litmus programs are data-race-free by construction: every replay
+runs traced, and the happens-before detector
+(:func:`repro.trace.hb.detect_races`) over its trace rejects a racy
+litmus definition as a *litmus* error, not a protocol violation.  For
+a DRF program, release consistency admits exactly one value per read:
+the last write in happens-before order -- which, because every executed
+schedule is a linear extension of happens-before, equals the last write
+*executed* at the time of the read.  The oracle therefore maintains a plain reference
 array updated at each write in schedule order and checks every read
 (and, at each terminal state, every processor's view of every litmus
 word) against it.  This is the same apply-all-writes-in-hb-order
@@ -31,8 +32,8 @@ Because exploration is breadth-first with children expanded in
 ascending processor order, the first violation found is a *minimal*
 interleaving witness (shortest schedule, lexicographically first among
 the shortest).  Witnesses serialize to JSON with an embedded schedule
-(replayable via ``repro analyze modelcheck --replay``) and export as a
-Chrome trace for ``repro.trace`` viewing.  A deliberately broken hlrc
+(replayable via :func:`replay_witness`) and export as a Chrome trace
+for ``repro.trace`` viewing.  A deliberately broken hlrc
 variant that skips its first DIFF_FLUSH (:class:`BrokenHomeLrcProc`)
 must be rejected by the checker -- the *mutation gate* proving the
 whole apparatus can actually catch protocol bugs.
@@ -47,11 +48,11 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.dsm.stepper import Instruction, Program, SteppedSystem
-from repro.dsm.vc import VectorClock
 from repro.protocols import get_protocol
 from repro.protocols.base import ProtocolInfo
 from repro.protocols.hlrc import HomeLrcProc
 from repro.sim.config import SimConfig
+from repro.trace.hb import detect_races
 
 #: Protocols every litmus test is checked against.
 CHECKED_PROTOCOLS: Tuple[str, ...] = ("tm-lrc", "hlrc", "erc", "swi")
@@ -235,69 +236,6 @@ LITMUS_TESTS: Dict[str, Litmus] = {
 
 
 # ----------------------------------------------------------------------
-# Checker-side happens-before tracking (DRF self-validation)
-# ----------------------------------------------------------------------
-class _DrfTracker:
-    """Vector-clock race detector over the litmus instruction stream.
-
-    Independent of the protocol under test: it sees only which
-    instruction executed, so a race report always means the *litmus* is
-    ill-formed (the RC oracle is exact only for DRF programs)."""
-
-    def __init__(self, nprocs: int) -> None:
-        self.nprocs = nprocs
-        self.cvc = [VectorClock(nprocs) for _ in range(nprocs)]
-        for p in range(nprocs):
-            self.cvc[p][p] = 1
-        self.lock_vc: Dict[int, VectorClock] = {}
-        self.write_vc: Dict[int, Tuple[int, VectorClock]] = {}
-        self.read_vc: Dict[int, Dict[int, VectorClock]] = {}
-
-    def tick(self, p: int) -> None:
-        self.cvc[p][p] = self.cvc[p][p] + 1
-
-    def on_write(self, p: int, word: int, name: str) -> None:
-        prior = self.write_vc.get(word)
-        if prior is not None and prior[0] != p and not prior[1] <= self.cvc[p]:
-            raise LitmusError(
-                f"litmus {name!r} is racy: write/write race on word "
-                f"{word} between P{prior[0]} and P{p}"
-            )
-        for q, rvc in self.read_vc.get(word, {}).items():
-            if q != p and not rvc <= self.cvc[p]:
-                raise LitmusError(
-                    f"litmus {name!r} is racy: read/write race on word "
-                    f"{word} between P{q} and P{p}"
-                )
-        self.write_vc[word] = (p, self.cvc[p].copy())
-
-    def on_read(self, p: int, word: int, name: str) -> None:
-        prior = self.write_vc.get(word)
-        if prior is not None and prior[0] != p and not prior[1] <= self.cvc[p]:
-            raise LitmusError(
-                f"litmus {name!r} is racy: write/read race on word "
-                f"{word} between P{prior[0]} and P{p}"
-            )
-        self.read_vc.setdefault(word, {})[p] = self.cvc[p].copy()
-
-    def on_release(self, p: int, lock_id: int) -> None:
-        vc = self.lock_vc.setdefault(lock_id, VectorClock(self.nprocs))
-        vc.join(self.cvc[p])
-
-    def on_acquire_granted(self, p: int, lock_id: int) -> None:
-        vc = self.lock_vc.get(lock_id)
-        if vc is not None:
-            self.cvc[p].join(vc)
-
-    def on_barrier_complete(self) -> None:
-        merged = VectorClock(self.nprocs)
-        for p in range(self.nprocs):
-            merged.join(self.cvc[p])
-        for p in range(self.nprocs):
-            self.cvc[p].join(merged)
-
-
-# ----------------------------------------------------------------------
 # Schedule replay with the RC oracle
 # ----------------------------------------------------------------------
 @dataclass
@@ -316,21 +254,19 @@ class ReplayResult:
 
 
 def replay(
-    litmus: Litmus,
-    info: ProtocolInfo,
-    schedule: Sequence[int],
-    check_final: bool = True,
+    litmus: Litmus, info: ProtocolInfo, schedule: Sequence[int]
 ) -> ReplayResult:
     """Execute ``schedule`` (a processor index per step) and check every
     read -- and, at a terminal state, every processor's final view --
-    against the RC oracle."""
+    against the RC oracle.  Raises :class:`LitmusError` when the
+    schedule picks a processor that is not enabled, or when the executed
+    prefix races."""
     system = SteppedSystem(
         info,
         litmus.programs,
         heap_bytes=litmus.heap_bytes,
-        config=SimConfig(nprocs=litmus.nprocs),
+        config=SimConfig(nprocs=litmus.nprocs, trace=True),
     )
-    drf = _DrfTracker(litmus.nprocs)
     ref: Dict[int, int] = {}
     steps: List[dict] = []
     violation: Optional[dict] = None
@@ -341,63 +277,40 @@ def replay(
                 f"invalid schedule for {litmus.name!r}: step {i} picks "
                 f"P{p}, which is not enabled"
             )
-        was_blocked = [system.cursors[q].blocked for q in range(litmus.nprocs)]
         instr = system.step(p)
         steps.append({"i": i, "proc": p, "instr": list(instr)})
-        drf.tick(p)
         kind = instr[0]
         if kind == "write":
             _, word, value = instr
-            drf.on_write(p, int(word), litmus.name)
             ref[int(word)] = int(value)
-        elif kind == "read":
-            _, word, reg = instr
-            drf.on_read(p, int(word), litmus.name)
-            expected = ref.get(int(word), 0)
-            actual = system.cursors[p].regs[str(reg)]
+        elif kind in ("read", "rmw"):
+            word, reg = int(instr[1]), str(instr[-1])
+            expected = ref.get(word, 0)
+            actual = system.cursors[p].regs[reg]
+            if kind == "rmw":
+                ref[word] = expected + int(instr[2])
             if actual != expected:
                 violation = {
                     "kind": "read",
                     "step": i,
                     "proc": p,
-                    "word": int(word),
+                    "word": word,
                     "expected": expected,
                     "actual": actual,
                 }
                 break
-        elif kind == "rmw":
-            _, word, k, reg = instr
-            drf.on_write(p, int(word), litmus.name)
-            expected = ref.get(int(word), 0)
-            actual = system.cursors[p].regs[str(reg)]
-            ref[int(word)] = expected + int(k)
-            if actual != expected:
-                violation = {
-                    "kind": "read",
-                    "step": i,
-                    "proc": p,
-                    "word": int(word),
-                    "expected": expected,
-                    "actual": actual,
-                }
-                break
-        elif kind == "release":
-            drf.on_release(p, int(instr[1]))
-        elif kind == "acquire":
-            if not system.cursors[p].blocked:
-                drf.on_acquire_granted(p, int(instr[1]))
-        elif kind == "barrier":
-            if not system.cursors[p].blocked:
-                drf.on_barrier_complete()
-        for q in range(litmus.nprocs):
-            if q != p and was_blocked[q] and not system.cursors[q].blocked:
-                prev = system.programs[q][system.cursors[q].pc - 1]
-                if prev[0] == "acquire":
-                    drf.on_acquire_granted(q, int(prev[1]))
 
+    # Before any terminal read: those are unsynchronized by design.
+    trace = system.trace
+    assert trace is not None
+    races = detect_races(trace.events, litmus.nprocs, trace.layout, max_races=1)
+    if races.races:
+        raise LitmusError(
+            f"litmus {litmus.name!r} is racy: {races.races[0].describe()}"
+        )
     key = system.state_key()
     outcome: Optional[Tuple[int, ...]] = None
-    if violation is None and system.terminal() and check_final:
+    if violation is None and system.terminal():
         for p in range(litmus.nprocs):
             for word in litmus.words:
                 expected = ref.get(word, 0)
@@ -460,58 +373,55 @@ def explore(
 ) -> ExploreResult:
     """Enumerate every interleaving of ``litmus`` under ``info``.
 
-    BFS over schedule prefixes with stateless replay: each frontier
-    schedule is re-executed from scratch (systems are not copyable),
-    children are deduplicated by canonical state digest.  BFS plus
-    ascending-processor expansion makes the first violation found a
-    minimal witness."""
+    BFS over schedule prefixes with stateless replay: each child
+    schedule is executed once, from scratch (systems are not copyable),
+    and deduplicated by canonical state digest; a new non-terminal child
+    enters the frontier with its enabled processors, so it is expanded
+    without being re-executed.  BFS plus ascending-processor expansion
+    makes the first violation found a minimal witness."""
     root = replay(litmus, info, ())
     seen = {root.key}
     states = 1
     terminals = 0
     outcomes: set = set()
 
-    def _result(res: ReplayResult, sched: Tuple[int, ...]) -> ExploreResult:
-        assert res.violation is not None
+    def _result(
+        violation: dict, sched: Tuple[int, ...], steps: List[dict]
+    ) -> ExploreResult:
         return ExploreResult(
             litmus=litmus.name,
             protocol=info.name,
             states=states,
             terminals=terminals,
             outcomes=tuple(sorted(outcomes)),
-            violation=res.violation,
+            violation=violation,
             schedule=sched,
-            witness_steps=res.steps,
+            witness_steps=steps,
         )
 
     if root.violation is not None:  # empty-program final check
-        return _result(root, ())
-    frontier: deque = deque([()])
+        return _result(root.violation, (), root.steps)
+    # (schedule, its enabled processors, its steps): non-terminal only.
+    frontier: deque = deque()
+    if not root.system.terminal():
+        frontier.append(((), root.system.enabled(), root.steps))
     while frontier:
-        sched = frontier.popleft()
-        base = replay(litmus, info, sched, check_final=False)
-        enabled = base.system.enabled()
-        if not enabled and not base.system.terminal():
-            deadlock = ReplayResult(
-                system=base.system,
-                steps=base.steps,
-                key=base.key,
-                violation={
-                    "kind": "deadlock",
-                    "step": len(sched),
-                    "proc": -1,
-                    "word": -1,
-                    "expected": 0,
-                    "actual": 0,
-                },
-                outcome=None,
-            )
-            return _result(deadlock, tuple(sched))
+        sched, enabled, steps = frontier.popleft()
+        if not enabled:
+            deadlock = {
+                "kind": "deadlock",
+                "step": len(sched),
+                "proc": -1,
+                "word": -1,
+                "expected": 0,
+                "actual": 0,
+            }
+            return _result(deadlock, sched, steps)
         for p in enabled:
-            child_sched = tuple(sched) + (p,)
+            child_sched = sched + (p,)
             child = replay(litmus, info, child_sched)
             if child.violation is not None:
-                return _result(child, child_sched)
+                return _result(child.violation, child_sched, child.steps)
             if child.key in seen:
                 continue
             seen.add(child.key)
@@ -526,7 +436,9 @@ def explore(
                 assert child.outcome is not None
                 outcomes.add(child.outcome)
             else:
-                frontier.append(child_sched)
+                frontier.append(
+                    (child_sched, child.system.enabled(), child.steps)
+                )
     return ExploreResult(
         litmus=litmus.name,
         protocol=info.name,

@@ -9,10 +9,8 @@ so the JSON report is a complete audit trail: a reviewer can see every
 
 from __future__ import annotations
 
-import json
-import pathlib
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Sequence, Union
+from typing import Dict, List, Sequence
 
 
 @dataclass(frozen=True)
@@ -91,11 +89,6 @@ class LintReport:
             "findings": [asdict(f) for f in self.findings],
             "unused_suppressions": [asdict(f) for f in self.unused_suppressions],
         }
-
-    def write_json(self, path: Union[str, pathlib.Path]) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=1, sort_keys=True)
-            fh.write("\n")
 
     @classmethod
     def from_json_dict(cls, doc: Dict[str, object]) -> "LintReport":

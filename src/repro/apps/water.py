@@ -62,12 +62,6 @@ def _pair_force(pi: np.ndarray, pj: np.ndarray) -> np.ndarray:
     return (d * scale).astype(np.float32)
 
 
-def _pair_energy(pi: np.ndarray, pj: np.ndarray) -> float:
-    d = pi - pj
-    r2 = np.float32((d * d).sum()) + np.float32(0.1)
-    return float(np.float32(1.0) / r2)
-
-
 def _inter_forces(pos: np.ndarray, lo: int, hi: int, n: int) -> tuple:
     """Forces on molecules ``[lo, hi)`` plus their potential-energy sum,
     vectorized over molecules and the n/2 wrap-around pair offsets.

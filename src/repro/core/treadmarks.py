@@ -24,7 +24,7 @@ from repro.dsm.lrc import LrcProc
 from repro.dsm.sync import SyncManager
 from repro.faults.inject import FaultInjector
 from repro.faults.plan import parse_plan
-from repro.protocols import get_protocol
+from repro.protocols import ProtocolInfo, get_protocol
 from repro.sim.config import SimConfig
 from repro.sim.engine import Engine, ProcContext
 from repro.sim.network import Network
@@ -46,6 +46,7 @@ class TreadMarks:
         app_name: str = "",
         dataset: str = "",
         layout_plan: Optional[LayoutPlan] = None,
+        protocol: Optional[ProtocolInfo] = None,
     ) -> None:
         config.validate()
         if config.dynamic and config.unit_pages != 1:
@@ -90,7 +91,11 @@ class TreadMarks:
         # The consistency protocol builds the per-processor engines (and
         # owns any cross-processor wiring: peer lists, directories); the
         # runtime attaches observers and aggregation strategies after.
-        info = get_protocol(config.protocol)
+        # ``protocol`` overrides the registry lookup of
+        # ``config.protocol`` (the model checker's unregistered mutant).
+        info = protocol if protocol is not None else get_protocol(
+            config.protocol
+        )
         self.procs: List[LrcProc] = info.build(
             self.layout,
             config,

@@ -22,14 +22,13 @@ Modules
 """
 
 from repro.dsm.vc import VectorClock
-from repro.dsm.intervals import Interval, WriteNotice, IntervalStore
+from repro.dsm.intervals import Interval, IntervalStore
 from repro.dsm.diff import Diff, create_diff, apply_diff
 from repro.dsm.address_space import AddressSpace, SharedHeapLayout
 
 __all__ = [
     "VectorClock",
     "Interval",
-    "WriteNotice",
     "IntervalStore",
     "Diff",
     "create_diff",

@@ -62,17 +62,6 @@ class Interval:
         return self.diffs.diff_for(unit)
 
 
-@dataclass(frozen=True, slots=True)
-class WriteNotice:
-    """A pending notice spelled out with its unit, as
-    :meth:`repro.dsm.lrc.LrcProc.pending_notices` reports it."""
-
-    proc: int
-    index: int
-    unit: int
-    commit_seq: int
-
-
 class IntervalStore:
     """All closed intervals of a run, indexed by (proc, interval index).
 

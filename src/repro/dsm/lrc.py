@@ -28,9 +28,7 @@ an aggregation strategy from :mod:`repro.dsm.aggregation`.
 
 from __future__ import annotations
 
-from typing import (
-    TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence, Tuple,
-)
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -38,7 +36,7 @@ from repro.dsm.address_space import AddressSpace, SharedHeapLayout
 from repro.dsm.diff import (
     ONE_RUN_BYTES, WORD, Diff, PackedDiffs, merge_diffs, pack_diffs,
 )
-from repro.dsm.intervals import Interval, IntervalStore, WriteNotice
+from repro.dsm.intervals import Interval, IntervalStore
 from repro.dsm.vc import VectorClock
 from repro.sim.clock import Clock
 from repro.sim.config import SimConfig
@@ -533,16 +531,6 @@ class LrcProc:
             for interval in pending.pop(unit, ()):
                 interval.refs -= 1
             self.pending_n[unit] = 0
-
-    def pending_notices(self) -> Iterator[WriteNotice]:
-        """Every pending notice as a :class:`WriteNotice`, by ascending
-        unit and in arrival order within a unit -- what the model
-        checker hashes (built here, on request: the protocol itself
-        keeps only the intervals)."""
-        pending = self.pending
-        for unit in sorted(pending):
-            for iv in pending[unit]:
-                yield WriteNotice(iv.proc, iv.index, unit, iv.commit_seq)
 
     # ------------------------------------------------------------------
     # Fault service

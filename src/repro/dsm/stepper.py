@@ -9,15 +9,17 @@ subclasses plus :class:`repro.dsm.sync.SyncManager`) through *any*
 interleaving of a tiny litmus program, one instruction at a time, under
 external schedule control.
 
-:class:`SteppedSystem` provides that hook.  It assembles a complete DSM
-system exactly the way :class:`repro.core.treadmarks.TreadMarks` does --
-heap layout, network ledger, interval store, ``ProtocolInfo.build``,
-aggregators, sync manager -- but with no threads and no run loop; the
-caller picks which processor executes its next instruction.  Blocking
-mirrors the engine faithfully: a synchronization op that returns no
-:class:`~repro.sim.engine.Resume` for its issuer parks that processor
-until a later op's resume list wakes it (FIFO lock grants, full-barrier
-departure), exactly the states the engine's scheduler can reach.
+:class:`SteppedSystem` provides that hook.  Its DSM system *is* a
+:class:`repro.core.treadmarks.TreadMarks` instance -- heap layout,
+network ledger, interval store, processors, aggregators, sync manager
+and (when ``config.trace``) the trace recorder -- that is never
+:meth:`~repro.core.treadmarks.TreadMarks.run`: there are no threads and
+no run loop; the caller picks which processor executes its next
+instruction.  Blocking mirrors the engine faithfully: a synchronization
+op that returns no :class:`~repro.sim.engine.Resume` for its issuer
+parks that processor until a later op's resume list wakes it (FIFO lock
+grants, full-barrier departure), exactly the states the engine's
+scheduler can reach.
 
 Litmus instructions (plain tuples, word addresses are heap word
 offsets):
@@ -44,23 +46,14 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from itertools import groupby
-from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.dsm.address_space import SharedHeapLayout
-from repro.dsm.aggregation import make_aggregator
-from repro.dsm.intervals import IntervalStore
-from repro.dsm.lrc import LrcProc
-from repro.dsm.sync import SyncManager
+from repro.core.treadmarks import TreadMarks
 from repro.protocols.base import ProtocolInfo
-from repro.sim.clock import Clock
 from repro.sim.config import SimConfig
 from repro.sim.engine import Op, OpKind
-from repro.sim.network import Network
-from repro.stats.counters import ProtocolStats
 
 #: One litmus instruction (see the module docstring for the shapes).
 Instruction = Tuple[object, ...]
@@ -106,28 +99,12 @@ class SteppedSystem:
         self.programs: Tuple[Program, ...] = tuple(
             tuple(p) for p in programs
         )
-        self.layout = SharedHeapLayout(
-            heap_bytes, self.config.page_size, self.config.unit_bytes
-        )
-        self.network = Network(self.config)
-        self.store = IntervalStore(nprocs)
-        self.stats = ProtocolStats()
-        self.clocks = [Clock() for _ in range(nprocs)]
-        self.procs: List[LrcProc] = info.build(
-            self.layout,
-            self.config,
-            self.store,
-            self.network,
-            self.stats,
-            self.clocks,
-            self.network.credit,
-        )
-        for lp in self.procs:
-            lp.trace = None
-            lp.aggregator = make_aggregator(lp)
-        self.sync = SyncManager(
-            self.config, self.network, self.procs, self.stats
-        )
+        runtime = TreadMarks(self.config, heap_bytes, protocol=info)
+        self.procs = runtime.procs
+        self.store = runtime.store
+        self.sync = runtime.sync
+        self.trace = runtime.trace
+        self.clocks = [ctx.clock for ctx in runtime.engine.procs]
         self.cursors = [ProcCursor() for _ in range(nprocs)]
         self._seq = 0
 
@@ -155,9 +132,6 @@ class SteppedSystem:
         -- a blocked processor with instructions left means deadlock,
         which :meth:`enabled` exposes as an empty list)."""
         return all(self.finished(p) for p in range(self.nprocs))
-
-    def next_instruction(self, p: int) -> Instruction:
-        return self.programs[p][self.cursors[p].pc]
 
     def step(self, p: int) -> Instruction:
         """Execute processor ``p``'s next instruction; returns it.
@@ -238,13 +212,8 @@ class SteppedSystem:
         for p, lp in enumerate(self.procs):
             cur = self.cursors[p]
             pending = tuple(
-                (
-                    unit,
-                    tuple((nt.proc, nt.index, nt.commit_seq) for nt in notices),
-                )
-                for unit, notices in groupby(
-                    lp.pending_notices(), key=attrgetter("unit")
-                )
+                (unit, tuple((iv.proc, iv.index, iv.commit_seq) for iv in ivs))
+                for unit, ivs in sorted(lp.pending.items())
             )
             twins = tuple(
                 (unit, lp.twin(unit).tobytes())

@@ -15,9 +15,10 @@ overrides the pieces that differ --
   ownership directory).
 
 Each registers a :class:`ProtocolInfo` under a short name; the runtime
-(:class:`repro.core.treadmarks.TreadMarks`, and the model checker's
-:class:`repro.dsm.stepper.SteppedSystem`) resolves ``SimConfig.protocol``
-through :func:`get_protocol` and calls :meth:`ProtocolInfo.build`.
+(:class:`repro.core.treadmarks.TreadMarks`, which the model checker's
+:class:`repro.dsm.stepper.SteppedSystem` also assembles) resolves
+``SimConfig.protocol`` through :func:`get_protocol`, unless handed a
+:class:`ProtocolInfo`, and calls :meth:`ProtocolInfo.build`.
 
 The overrides are thin: the pieces more than one protocol needs are
 written once -- the request/reply exchange (``LrcProc._exchange``, which

@@ -169,7 +169,8 @@ class SimConfig:
     count_sync_messages: bool = True
     """Include lock/barrier messages in the total message counts reported
     by the harness (the paper's totals include them; they are invariant
-    across consistency-unit sizes)."""
+    across consistency-unit sizes).  Only ``True`` is implemented:
+    :meth:`validate` rejects ``False``, which no counter honours."""
 
     trace: bool = False
     """Record a structured protocol event trace (see :mod:`repro.trace`).
@@ -274,6 +275,11 @@ class SimConfig:
             )
         if self.word_size != 4:
             raise ValueError("the instrumentation assumes 4-byte words")
+        if not self.count_sync_messages:
+            raise ValueError(
+                "count_sync_messages=False is not implemented: message "
+                "totals always include lock/barrier messages"
+            )
         if self.access_mode not in ("bulk", "scalar"):
             raise ValueError(
                 f"access_mode must be 'bulk' or 'scalar', got "

@@ -293,8 +293,8 @@ def witness_chrome_trace(
     witness is an interleaving, not a timing claim -- equal-width slices
     keep the schedule readable), and the violating step gets an instant
     marker.  The raw schedule rides along in ``otherData`` so the
-    witness file stays replayable by ``repro analyze modelcheck
-    --replay``.
+    witness file stays replayable by
+    :func:`repro.analyze.modelcheck.replay_witness`.
     """
     out: List[dict] = _metadata(nprocs, label or "modelcheck witness")
     bad_step = violation.get("step")

@@ -79,15 +79,92 @@ def test_fs_diff_merge_matches_committed_state_counts(proto):
     assert load_baseline()[f"fs-diff-merge/{proto}"] == res.baseline_entry()
 
 
-def test_racy_litmus_rejected_as_litmus_error():
+@pytest.mark.parametrize(
+    "first,second",
+    [
+        (("write", 0, 1), ("write", 0, 2)),
+        (("write", 0, 1), ("read", 0, "r0")),
+        (("read", 0, "r0"), ("write", 0, 1)),
+        (("rmw", 0, 1, "r0"), ("read", 0, "r1")),
+    ],
+    ids=["write-write", "write-read", "read-write", "rmw-read"],
+)
+def test_racy_litmus_rejected_as_litmus_error(first, second):
     racy = Litmus(
-        name="racy-ww",
-        description="two unsynchronized writers of one word",
-        programs=((("write", 0, 1),), (("write", 0, 2),)),
+        name="racy",
+        description="two unsynchronized accesses of one word",
+        programs=((first,), (second,)),
         words=(0,),
     )
-    with pytest.raises(LitmusError, match="racy"):
+    # The message names the race the happens-before check found.
+    with pytest.raises(LitmusError, match=r"racy: word 0 .* concurrent"):
         explore(racy, get_protocol("tm-lrc"))
+
+
+#: Data-race-free programs the race check must accept.  Each ends at a
+#: barrier so every processor's final view is defined.
+DRF_LITMUS = (
+    Litmus(
+        name="lock-handoff",
+        description="a write and a read in critical sections of one lock",
+        programs=(
+            (("acquire", 0), ("write", 0, 1), ("release", 0), ("barrier", 9)),
+            (("acquire", 0), ("read", 0, "r0"), ("release", 0), ("barrier", 9)),
+        ),
+        words=(0,),
+    ),
+    Litmus(
+        name="barrier-ordered",
+        description="a write before a barrier, a read after it",
+        programs=(
+            (("write", 0, 1), ("barrier", 0)),
+            (("barrier", 0), ("read", 0, "r0")),
+        ),
+        words=(0,),
+    ),
+    Litmus(
+        name="false-sharing",
+        description="two writers of different words of one unit",
+        programs=(
+            (("write", 0, 1), ("barrier", 0)),
+            (("write", 1, 2), ("barrier", 0)),
+        ),
+        words=(0, 1),
+    ),
+)
+
+
+@pytest.mark.parametrize("litmus", DRF_LITMUS, ids=lambda lit: lit.name)
+def test_drf_litmus_explores_without_a_race(litmus):
+    res = explore(litmus, get_protocol("tm-lrc"))
+    assert res.ok, res.violation
+    assert res.terminals >= 1
+
+
+def test_blocked_acquire_is_ordered_at_its_grant():
+    # P1's acquire blocks behind P0's critical section and is granted
+    # at P0's release; the read after it is then ordered, not racy.
+    handoff = DRF_LITMUS[0]
+    info = get_protocol("tm-lrc")
+    assert replay(handoff, info, (0, 1)).system.cursors[1].blocked
+    rep = replay(handoff, info, (0, 1, 0, 0, 1))
+    assert rep.violation is None
+    assert rep.system.cursors[1].regs == {"r0": 1}
+
+
+def test_deadlock_is_reported_with_its_schedule():
+    # P0 holds the lock at the barrier; P1 blocks on the lock forever.
+    stuck = Litmus(
+        name="deadlock",
+        description="a barrier reached while holding a lock",
+        programs=((("acquire", 0), ("barrier", 0)),) * 2,
+        words=(0,),
+    )
+    res = explore(stuck, get_protocol("tm-lrc"))
+    assert res.violation is not None
+    assert res.violation["kind"] == "deadlock"
+    assert res.schedule == (0, 0, 1)
+    assert [s["proc"] for s in res.witness_steps] == [0, 0, 1]
 
 
 def test_schedule_picking_a_blocked_processor_is_invalid():

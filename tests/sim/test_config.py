@@ -89,6 +89,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             PAPER_PLATFORM.replace(**{field: value})
 
+    def test_unimplemented_sync_message_exclusion_rejected(self):
+        # No counter reads the switch, so False would silently count
+        # lock/barrier messages anyway.
+        with pytest.raises(ValueError, match="not implemented"):
+            PAPER_PLATFORM.replace(count_sync_messages=False)
+
     def test_frozen(self):
         with pytest.raises(Exception):
             PAPER_PLATFORM.nprocs = 4  # type: ignore[misc]

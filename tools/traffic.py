@@ -12,8 +12,7 @@ one markdown table row per cell:
   from packed records -- by fetch, or by hlrc/erc at release -- split
   by whether the offsets were a slice of the shared ``arange`` or an
   unpacked mask;
-* ``notices delivered`` / ``WriteNotice built``: write notices appended
-  to pending lists, and notice objects constructed.
+* ``notices delivered``: write notices appended to pending lists.
 
 Every counter wraps a method by name from this script; nothing is
 compiled into ``src/``.  Results are deterministic, so one pass is the
@@ -34,11 +33,11 @@ sys.path[0:0] = [str(ROOT / "src"), str(ROOT)]
 from benchmarks.perf.workloads import SIM_WORKLOADS  # noqa: E402
 from repro.bench.harness import run_case  # noqa: E402
 from repro.dsm.diff import ONE_RUN_BYTES, WORD, PackedDiffs  # noqa: E402
-from repro.dsm.intervals import IntervalStore, WriteNotice  # noqa: E402
+from repro.dsm.intervals import IntervalStore  # noqa: E402
 from repro.dsm.lrc import LrcProc  # noqa: E402
 
 COLUMNS = ("closes", "twinned units", "changed words", "diff_for single-run",
-           "diff_for decoded", "notices delivered", "WriteNotice built")
+           "diff_for decoded", "notices delivered")
 
 
 def install(counts: Counter[str]) -> None:
@@ -46,7 +45,6 @@ def install(counts: Counter[str]) -> None:
     real_close = IntervalStore.close_interval
     real_diff_for = PackedDiffs.diff_for
     real_add = LrcProc._add_notices
-    real_notice = WriteNotice.__init__
 
     def close_interval(self: IntervalStore, proc: int, vc: Any,
                        diffs: PackedDiffs) -> Any:
@@ -65,14 +63,9 @@ def install(counts: Counter[str]) -> None:
         counts["notices delivered"] += int(units.shape[0])
         return real_add(self, units, notice)
 
-    def notice_init(self: WriteNotice, *args: Any, **kwargs: Any) -> None:
-        counts["WriteNotice built"] += 1
-        real_notice(self, *args, **kwargs)
-
     IntervalStore.close_interval = close_interval  # type: ignore[method-assign]
     PackedDiffs.diff_for = diff_for  # type: ignore[method-assign]
     LrcProc._add_notices = add_notices  # type: ignore[method-assign]
-    WriteNotice.__init__ = notice_init  # type: ignore[method-assign]
 
 
 def main() -> int:
