@@ -1,106 +1,8 @@
-"""``python -m repro`` -- the package's front door.
-
-Dispatches to the subsystem CLIs::
-
-    python -m repro bench table1 --jobs 4      # == python -m repro.bench
-    python -m repro trace Jacobi 1Kx1K ...     # == python -m repro.trace
-    python -m repro faults --chaos-sweep       # == python -m repro.faults
-    python -m repro analyze --lint             # == python -m repro.analyze
-    python -m repro protocols --list           # == python -m repro.protocols
-    python -m repro farm submit figure1        # == python -m repro.farm
-
-``python -m repro`` alone (or ``--help``) lists the subcommands.
-Everything after the subcommand is handed to that CLI verbatim, so each
-subsystem's own ``--help`` works: ``python -m repro bench --help``.
-"""
-
-from __future__ import annotations
+"""``python -m repro`` -- see :mod:`repro.cli`."""
 
 import sys
-from typing import Callable, Dict, List, Optional
 
-
-def _bench(argv: List[str]) -> int:
-    from repro.bench.cli import main
-
-    return main(argv)
-
-
-def _trace(argv: List[str]) -> int:
-    from repro.trace.cli import main
-
-    return main(argv)
-
-
-def _faults(argv: List[str]) -> int:
-    from repro.faults.cli import main
-
-    return main(argv)
-
-
-def _analyze(argv: List[str]) -> int:
-    from repro.analyze.cli import main
-
-    return main(argv)
-
-
-def _protocols(argv: List[str]) -> int:
-    from repro.protocols.cli import main
-
-    return main(argv)
-
-
-def _farm(argv: List[str]) -> int:
-    from repro.farm.cli import main
-
-    return main(argv)
-
-
-#: Subcommand -> (runner, one-line description).
-SUBCOMMANDS: Dict[str, tuple] = {
-    "bench": (_bench, "regenerate the paper's tables and figures; "
-                      "golden regression gate"),
-    "trace": (_trace, "protocol event tracing, timeline export, "
-                      "happens-before race detector"),
-    "faults": (_faults, "fault-injection lab: faulty runs and the "
-                        "chaos-sweep invariant gate"),
-    "analyze": (_analyze, "determinism lint and static access-pattern "
-                          "analysis with dynamic crosscheck"),
-    "protocols": (_protocols, "consistency-protocol zoo: list the registry, "
-                              "cross-protocol checksum smoke gate"),
-    "farm": (_farm, "distributed sweep farm: submit cells, run "
-                    "work-stealing workers, serve results read-only"),
-}
-
-
-def _usage() -> str:
-    lines = [
-        "usage: python -m repro SUBCOMMAND [args...]",
-        "",
-        "subcommands:",
-    ]
-    for name, (_, desc) in SUBCOMMANDS.items():
-        lines.append(f"  {name:8} {desc}")
-    lines.append("")
-    lines.append("run `python -m repro SUBCOMMAND --help` for each "
-                 "subcommand's options")
-    return "\n".join(lines)
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    if not argv or argv[0] in ("-h", "--help"):
-        print(_usage())
-        return 0 if argv else 2
-    name, rest = argv[0], argv[1:]
-    entry: Optional[Callable] = None
-    if name in SUBCOMMANDS:
-        entry = SUBCOMMANDS[name][0]
-    if entry is None:
-        print(f"unknown subcommand {name!r}\n\n{_usage()}", file=sys.stderr)
-        return 2
-    return entry(rest)
-
+from repro.cli import main
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -1,10 +1,8 @@
-"""``python -m repro.analyze`` entry point."""
-
-from __future__ import annotations
+"""``python -m repro.analyze ARGS`` == ``python -m repro analyze ARGS``."""
 
 import sys
 
-from repro.analyze.cli import main
+from repro.cli import main
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(["analyze", *sys.argv[1:]]))

@@ -1,7 +1,8 @@
-"""Entry point: ``python -m repro.bench <experiment> [...]``."""
+"""``python -m repro.bench ARGS`` == ``python -m repro bench ARGS``."""
 
 import sys
 
-from repro.bench.cli import main
+from repro.cli import main
 
-sys.exit(main())
+if __name__ == "__main__":
+    sys.exit(main(["bench", *sys.argv[1:]]))

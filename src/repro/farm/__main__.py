@@ -1,10 +1,8 @@
-"""``python -m repro.farm`` entry point."""
-
-from __future__ import annotations
+"""``python -m repro.farm ARGS`` == ``python -m repro farm ARGS``."""
 
 import sys
 
-from repro.farm.cli import main
+from repro.cli import main
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(["farm", *sys.argv[1:]]))

@@ -1,8 +1,8 @@
-"""``python -m repro.faults`` entry point."""
+"""``python -m repro.faults ARGS`` == ``python -m repro faults ARGS``."""
 
 import sys
 
-from repro.faults.cli import main
+from repro.cli import main
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(["faults", *sys.argv[1:]]))

@@ -37,7 +37,7 @@ from repro.bench.golden import (
     SMALL_DATASETS,
     load_app_golden,
 )
-from repro.bench.harness import ResultCache
+from repro.bench.harness import CaseResult, ResultCache
 from repro.bench.pool import SweepCell, run_cells
 from repro.faults.plan import FaultPlan, parse_plan
 
@@ -55,6 +55,28 @@ INVARIANT_FIELDS = tuple(
     f for f in GOLDEN_FIELDS if f != "time_us" and f not in FAULT_FIELDS
 )
 
+
+def render_single(base: CaseResult, faulty: CaseResult) -> str:
+    """Side-by-side fault-free vs faulty report of one cell."""
+    lines = [
+        f"--- {faulty.app}/{faulty.dataset}@{faulty.label} ---",
+        f"{'counter':28} {'fault-free':>14} {'faulty':>14}",
+    ]
+    fields = ("time_us",) + INVARIANT_FIELDS + FAULT_FIELDS
+    for f in fields:
+        b, x = getattr(base, f), getattr(faulty, f)
+        if b == x:
+            mark = ""
+        elif f == "time_us":
+            mark = "  +shadow"
+        elif f in FAULT_FIELDS:
+            mark = "  +fault"
+        else:
+            mark = "  **"
+        bs = f"{b:.1f}" if isinstance(b, float) else str(b)
+        xs = f"{x:.1f}" if isinstance(x, float) else str(x)
+        lines.append(f"{f:28} {bs:>14} {xs:>14}{mark}")
+    return "\n".join(lines)
 
 def default_plan(seed: int = 0) -> FaultPlan:
     """The sweep's stock plan: a modestly lossy, jittery network."""

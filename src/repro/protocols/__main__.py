@@ -1,7 +1,8 @@
-"""``python -m repro.protocols`` -- see :mod:`repro.protocols.cli`."""
+"""``python -m repro.protocols ARGS`` == ``python -m repro protocols ARGS``."""
 
 import sys
 
-from repro.protocols.cli import main
+from repro.cli import main
 
-sys.exit(main())
+if __name__ == "__main__":
+    sys.exit(main(["protocols", *sys.argv[1:]]))

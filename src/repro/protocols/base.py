@@ -34,6 +34,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Sequence, Tuple, Type
 
 from repro.dsm.diff import DIFF_HEADER_BYTES, Diff, apply_diff, whole_unit_diff
 from repro.dsm.lrc import LrcProc
+from repro.sim.config import DEFAULT_PROTOCOL
 
 if TYPE_CHECKING:
     from repro.dsm.address_space import SharedHeapLayout
@@ -118,6 +119,19 @@ def protocol_names() -> Tuple[str, ...]:
 def all_protocols() -> List[ProtocolInfo]:
     """All registered protocols, sorted by name."""
     return [_REGISTRY[name] for name in protocol_names()]
+
+
+def render_list() -> str:
+    """The registry as a two-column table."""
+    infos = all_protocols()
+    width = max(len(i.name) for i in infos)
+    lines = ["registered consistency protocols:"]
+    for info in infos:
+        marker = "*" if info.name == DEFAULT_PROTOCOL else " "
+        lines.append(f" {marker} {info.name:<{width}}  {info.description}")
+    lines.append("(* = default; select with SimConfig.protocol / the")
+    lines.append(" --protocols flag of `python -m repro.bench protocols`)")
+    return "\n".join(lines)
 
 
 # ----------------------------------------------------------------------

@@ -12,8 +12,8 @@ The trace subsystem is the observability layer over the simulated DSM:
 * :mod:`repro.trace.attribution` -- a per-page false-sharing report
   ranking pages by useless messages/bytes, tied to allocation labels,
   and the per-barrier-epoch cost table;
-* :mod:`repro.trace.cli` -- ``python -m repro.trace <app> <dataset>
-  <unit>``.
+* ``python -m repro trace <app> <dataset> <unit>`` (see
+  :mod:`repro.cli`) runs one cell traced and prints all of the above.
 
 Tracing is *zero-cost with respect to the simulation*: the hooks only
 observe state the protocol already computed, so a traced run yields

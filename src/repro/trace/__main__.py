@@ -1,7 +1,8 @@
-"""Entry point for ``python -m repro.trace``."""
+"""``python -m repro.trace ARGS`` == ``python -m repro trace ARGS``."""
 
 import sys
 
-from repro.trace.cli import main
+from repro.cli import main
 
-sys.exit(main())
+if __name__ == "__main__":
+    sys.exit(main(["trace", *sys.argv[1:]]))

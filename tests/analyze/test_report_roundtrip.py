@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import json
 
-from repro.analyze.cli import main
+from repro.cli import main
 from repro.analyze.detlint import lint_source
 from repro.analyze.layout import LayoutReport, Remedy
 from repro.analyze.predict import Prediction, predict
@@ -102,7 +102,7 @@ def test_cli_lint_json_loads_back(tmp_path, capsys):
     hazard = tmp_path / "hazard.py"
     hazard.write_text(HAZARDOUS)
     out = tmp_path / "lint.json"
-    rc = main(["--lint", "--paths", str(hazard), "--json", str(out)])
+    rc = main(["analyze", "--lint", "--paths", str(hazard), "--json", str(out)])
     capsys.readouterr()
     assert rc == 1  # one active wall-clock finding
     doc = json.loads(out.read_text())
@@ -114,7 +114,7 @@ def test_cli_lint_json_loads_back(tmp_path, capsys):
 
 def test_cli_predict_json_loads_back(tmp_path, capsys):
     out = tmp_path / "predict.json"
-    rc = main(["--predict", "Barnes", "--json", str(out)])
+    rc = main(["analyze", "--predict", "Barnes", "--json", str(out)])
     capsys.readouterr()
     assert rc == 0
     back = Prediction.from_json_dict(json.loads(out.read_text()))
@@ -123,7 +123,7 @@ def test_cli_predict_json_loads_back(tmp_path, capsys):
 
 def test_cli_layout_json_loads_back(tmp_path, capsys):
     out = tmp_path / "layout.json"
-    rc = main(["layout", "--apps", "Jacobi", "--json", str(out)])
+    rc = main(["analyze", "layout", "--apps", "Jacobi", "--json", str(out)])
     capsys.readouterr()
     assert rc == 0
     doc = json.loads(out.read_text())

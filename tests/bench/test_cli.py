@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench.cli import main
+from repro.cli import main
 from repro.bench.experiments import cells_of, rendered
 from repro.bench.harness import ResultCache
 
@@ -15,7 +15,7 @@ def test_commands_cover_all_experiments():
 
 
 def test_micro_via_cli(capsys, tmp_path):
-    rc = main(["micro", "--out", str(tmp_path), "--no-cache"])
+    rc = main(["bench", "micro", "--out", str(tmp_path), "--no-cache"])
     assert rc == 0
     out = capsys.readouterr().out
     assert "microbenchmarks" in out
@@ -24,17 +24,17 @@ def test_micro_via_cli(capsys, tmp_path):
 
 def test_bad_experiment_rejected():
     with pytest.raises(SystemExit):
-        main(["not-an-experiment"])
+        main(["bench", "not-an-experiment"])
 
 
 def test_bad_jobs_rejected():
     with pytest.raises(SystemExit):
-        main(["micro", "--jobs", "0"])
+        main(["bench", "micro", "--jobs", "0"])
 
 
 def test_nothing_to_do_rejected():
     with pytest.raises(SystemExit):
-        main([])
+        main(["bench"])
 
 
 def test_cells_for_covers_every_sweep_experiment():
@@ -47,12 +47,12 @@ def test_cells_for_covers_every_sweep_experiment():
 
 def test_unknown_protocol_rejected():
     with pytest.raises(SystemExit):
-        main(["--check", "--protocols", "mesi"])
+        main(["bench", "--check", "--protocols", "mesi"])
 
 
 def test_main_restores_cache_configuration(tmp_path):
     before = ResultCache.disk()
-    main(["micro", "--cache-dir", str(tmp_path / "cache")])
+    main(["bench", "micro", "--cache-dir", str(tmp_path / "cache")])
     assert ResultCache.disk() is before
 
 
@@ -63,9 +63,9 @@ class TestGoldenFlow:
         gdir = tmp_path / "golden"
         args = ["--only", "Jacobi", "--golden-dir", str(gdir),
                 "--cache-dir", str(tmp_path / "cache")]
-        assert main(["--refresh-golden"] + args) == 0
+        assert main(["bench", "--refresh-golden"] + args) == 0
         assert (gdir / "Jacobi.json").exists()
-        assert main(["--check"] + args) == 0
+        assert main(["bench", "--check"] + args) == 0
         assert "golden check OK" in capsys.readouterr().out
 
     def test_check_fails_on_drift(self, tmp_path, capsys):
@@ -74,17 +74,17 @@ class TestGoldenFlow:
         gdir = tmp_path / "golden"
         args = ["--only", "Jacobi", "--golden-dir", str(gdir),
                 "--cache-dir", str(tmp_path / "cache")]
-        main(["--refresh-golden"] + args)
+        main(["bench", "--refresh-golden"] + args)
         path = gdir / "Jacobi.json"
         entry = json.loads(path.read_text())
         entry["1Kx1K"]["Dyn"]["sync_messages"] += 1
         path.write_text(json.dumps(entry))
-        assert main(["--check"] + args) == 1
+        assert main(["bench", "--check"] + args) == 1
         out = capsys.readouterr().out
         assert "FAILED" in out and "sync_messages" in out
 
     def test_check_missing_baselines_fails(self, tmp_path, capsys):
-        rc = main(["--check", "--only", "Jacobi",
+        rc = main(["bench", "--check", "--only", "Jacobi",
                    "--golden-dir", str(tmp_path / "nowhere"),
                    "--cache-dir", str(tmp_path / "cache")])
         assert rc == 1
@@ -97,8 +97,8 @@ class TestGoldenFlow:
         args = ["--only", "Jacobi", "--protocols", "erc",
                 "--golden-dir", str(gdir),
                 "--cache-dir", str(tmp_path / "cache")]
-        assert main(["--refresh-golden"] + args) == 0
+        assert main(["bench", "--refresh-golden"] + args) == 0
         assert (gdir / "erc" / "Jacobi.json").exists()
         assert not (gdir / "Jacobi.json").exists()
-        assert main(["--check"] + args) == 0
+        assert main(["bench", "--check"] + args) == 0
         assert "golden check OK" in capsys.readouterr().out

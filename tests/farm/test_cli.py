@@ -1,11 +1,13 @@
 """Farm CLI: submit / worker / status round trip, filters, dispatch."""
 
+import runpy
+import sys
+
 import pytest
 
-from repro.__main__ import main as repro_main
 from repro.bench.golden import golden_cells
+from repro.cli import main
 from repro.farm import worker as worker_mod
-from repro.farm.cli import main
 from repro.farm.submit import sweep_cells, sweep_names
 from repro.faults.channel import DroppedMessageError
 from repro.sim.config import DEFAULT_PROTOCOL
@@ -52,24 +54,24 @@ class TestCli:
         monkeypatch.setattr(worker_mod, "run_case", fake)
         store = str(tmp_path / "store")
 
-        assert main(["submit", "golden", "--apps", "Jacobi",
+        assert main(["farm", "submit", "golden", "--apps", "Jacobi",
                      "--store", store]) == 0
         assert "4 enqueued" in capsys.readouterr().out
 
-        assert main(["status", "--store", store]) == 0
+        assert main(["farm", "status", "--store", store]) == 0
         assert "4 queued" in capsys.readouterr().out
 
-        assert main(["worker", "--id", "w0", "--store", store]) == 0
+        assert main(["farm", "worker", "--id", "w0", "--store", store]) == 0
         captured = capsys.readouterr()
         assert "4 cells claimed, 4 completed" in captured.out
 
-        assert main(["status", "--store", store]) == 0
+        assert main(["farm", "status", "--store", store]) == 0
         out = capsys.readouterr().out
         assert "4 results" in out
         assert "4 done" in out
 
         # Resubmitting finds everything already computed.
-        assert main(["submit", "golden", "--apps", "Jacobi",
+        assert main(["farm", "submit", "golden", "--apps", "Jacobi",
                      "--store", store]) == 0
         assert "4 already done" in capsys.readouterr().out
 
@@ -81,24 +83,28 @@ class TestCli:
 
         monkeypatch.setattr(worker_mod, "run_case", explode)
         store = str(tmp_path / "store")
-        assert main(["submit", "golden", "--apps", "Jacobi",
+        assert main(["farm", "submit", "golden", "--apps", "Jacobi",
                      "--store", store]) == 0
         capsys.readouterr()
-        assert main(["worker", "--store", store]) == 1
-        assert main(["status", "--store", store]) == 0
+        assert main(["farm", "worker", "--store", store]) == 1
+        assert main(["farm", "status", "--store", store]) == 0
         out = capsys.readouterr().out
         assert "4 failed" in out
         assert "failed: Jacobi/1Kx1K" in out
 
     def test_submit_rejects_unknown_sweep(self, tmp_path, capsys):
         with pytest.raises(SystemExit):
-            main(["submit", "figure9", "--store", str(tmp_path / "s")])
+            main(["farm", "submit", "figure9", "--store", str(tmp_path / "s")])
 
     def test_command_is_required(self, capsys):
         with pytest.raises(SystemExit):
-            main([])
+            main(["farm"])
 
-    def test_repro_main_dispatches_farm(self, tmp_path, capsys):
-        assert repro_main(["farm", "status",
-                           "--store", str(tmp_path / "store")]) == 0
+    def test_repro_main_dispatches_farm(self, tmp_path, capsys, monkeypatch):
+        # `python -m repro.farm ARGS` runs `python -m repro farm ARGS`.
+        store = str(tmp_path / "store")
+        monkeypatch.setattr(sys, "argv", ["repro.farm", "status", "--store", store])
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("repro.farm", run_name="__main__")
+        assert exc.value.code == 0
         assert "0 results" in capsys.readouterr().out

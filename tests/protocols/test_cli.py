@@ -2,86 +2,29 @@
 
 import pytest
 
-from repro.protocols import cli, protocol_names
+from repro.cli import main
+from repro.protocols import protocol_names
+from repro.protocols.base import render_list
 
 
 class TestList:
     def test_lists_every_registered_protocol(self):
-        text = cli.render_list()
+        text = render_list()
         for name in protocol_names():
             assert name in text
 
     def test_marks_the_default(self):
-        lines = cli.render_list().splitlines()
+        lines = render_list().splitlines()
         starred = [ln for ln in lines if ln.startswith(" * ")]
         assert len(starred) == 1
         assert "tm-lrc" in starred[0]
 
     def test_main_list_exits_zero(self, capsys):
-        assert cli.main(["--list"]) == 0
+        assert main(["protocols", "--list"]) == 0
         assert "tm-lrc" in capsys.readouterr().out
 
 
 class TestArgs:
     def test_nothing_to_do_is_an_error(self):
         with pytest.raises(SystemExit):
-            cli.main([])
-
-    def test_unknown_label_rejected(self):
-        with pytest.raises(SystemExit):
-            cli.main(["--smoke", "--label", "32K"])
-
-
-class TestSmoke:
-    @pytest.fixture
-    def stub_runs(self, monkeypatch):
-        """Replace run_case with a cheap stub; returns the mutable dict
-        of per-protocol checksums it serves."""
-        sums = {p: 1.25 for p in protocol_names()}
-        calls = []
-
-        class FakeCase:
-            def __init__(self, checksum):
-                self.checksum = checksum
-
-        def fake_run_case(app, dataset, label, **extra):
-            protocol = extra.get("protocol", "tm-lrc")
-            calls.append((app, dataset, label, protocol))
-            return FakeCase(sums[protocol])
-
-        monkeypatch.setattr(cli, "run_case", fake_run_case)
-        return sums, calls
-
-    def test_unknown_app_fails(self, tmp_path, stub_runs):
-        failures = cli.run_smoke(["NotAnApp"], "4K", tmp_path)
-        assert failures and "unknown application" in failures[0]
-
-    def test_invariant_checksums_pass(self, tmp_path, stub_runs, capsys):
-        failures = cli.run_smoke(["Jacobi"], "4K", tmp_path)
-        assert failures == []
-        out = capsys.readouterr().out
-        assert out.count("[ok ]") == len(protocol_names())
-
-    def test_every_protocol_runs(self, tmp_path, stub_runs):
-        _, calls = stub_runs
-        cli.run_smoke(["Jacobi"], "4K", tmp_path)
-        # One anchoring tm-lrc run (no committed golden in tmp_path)
-        # plus one run per registered protocol.
-        assert [c[3] for c in calls].count("tm-lrc") == 2
-        assert {c[3] for c in calls} == set(protocol_names())
-
-    def test_checksum_drift_fails(self, tmp_path, stub_runs):
-        sums, _ = stub_runs
-        sums["swi"] = 99.0
-        failures = cli.run_smoke(["Jacobi"], "4K", tmp_path)
-        assert len(failures) == 1
-        assert "swi" in failures[0]
-
-    def test_main_smoke_exit_codes(self, tmp_path, stub_runs, capsys):
-        sums, _ = stub_runs
-        args = ["--smoke", "--apps", "Jacobi", "--golden-dir", str(tmp_path)]
-        assert cli.main(args) == 0
-        assert "protocol smoke OK" in capsys.readouterr().out
-        sums["erc"] = -1.0
-        assert cli.main(args) == 1
-        assert "protocol smoke FAILED" in capsys.readouterr().err
+            main(["protocols"])
