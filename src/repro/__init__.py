@@ -19,15 +19,4 @@ Entry points:
   Table 1 and Figures 1-3.
 """
 
-from repro.core import PAPER_PLATFORM, Proc, RunResult, SharedArray, SimConfig, TreadMarks
-
-__all__ = [
-    "PAPER_PLATFORM",
-    "Proc",
-    "RunResult",
-    "SharedArray",
-    "SimConfig",
-    "TreadMarks",
-]
-
 __version__ = "1.0.0"

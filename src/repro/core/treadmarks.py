@@ -74,11 +74,10 @@ class TreadMarks:
             self.trace.app_name = app_name
             self.trace.dataset = dataset
             self.engine.trace = self.trace
-            self.network.trace = self.trace
+            self.network.add_observer(self.trace)
         self.faults: Optional[FaultInjector] = None
         if config.fault_plan:
-            # Registered after the trace recorder (the trace property
-            # keeps itself first in the observer list), so timelines show
+            # Registered after the trace recorder, so timelines show
             # each message before the faults injected into it.
             self.faults = FaultInjector(
                 parse_plan(config.fault_plan),

@@ -24,6 +24,7 @@ from typing import Dict, List
 import numpy as np
 
 from repro.dsm.lrc import LrcProc
+from repro.trace.events import GroupBuildEvent, GroupDissolveEvent, GroupFetchEvent
 
 
 class Aggregator:
@@ -147,13 +148,13 @@ class DynamicAggregator(Aggregator):
                 if q != page:
                     self._group_fetched[q] = True
             if proc.trace is not None and len(group) > 1:
-                proc.trace.on_group_fetch(
-                    proc.pid,
+                proc.trace.emit(GroupFetchEvent(
                     proc.clock.now,
-                    page,
-                    tuple(group),
-                    tuple(fetch_set),
-                )
+                    proc.pid,
+                    page=page,
+                    group=tuple(group),
+                    fetched=tuple(fetch_set),
+                ))
             proc.fetch(fetch_set)
         else:
             # Data already current (it arrived with an earlier group
@@ -177,9 +178,9 @@ class DynamicAggregator(Aggregator):
             for page in np.flatnonzero(self._group_fetched).tolist():
                 if not accessed_mask[page]:
                     if self.proc.trace is not None and self._group_id[page] >= 0:
-                        self.proc.trace.on_group_dissolve(
-                            self.proc.pid, self.proc.clock.now, page
-                        )
+                        self.proc.trace.emit(GroupDissolveEvent(
+                            self.proc.clock.now, self.proc.pid, page=page
+                        ))
                     self._remove_from_group(page)
             self._group_fetched[:] = False
 
@@ -197,9 +198,9 @@ class DynamicAggregator(Aggregator):
                     for page in group:
                         self._group_id[page] = gid
                     if self.proc.trace is not None:
-                        self.proc.trace.on_group_build(
-                            self.proc.pid, self.proc.clock.now, tuple(group)
-                        )
+                        self.proc.trace.emit(GroupBuildEvent(
+                            self.proc.clock.now, self.proc.pid, pages=tuple(group)
+                        ))
             self._accessed.clear()
             self._accessed_mask[:] = False
 

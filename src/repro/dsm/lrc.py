@@ -43,6 +43,13 @@ from repro.sim.config import SimConfig
 from repro.sim.network import MessageClass, Network
 from repro.stats.counters import ProtocolStats
 from repro.stats.words import WordTracker
+from repro.trace.events import (
+    AccessEvent,
+    DiffApplyEvent,
+    DiffCreateEvent,
+    FaultEvent,
+    TwinEvent,
+)
 
 if TYPE_CHECKING:
     from repro.dsm.aggregation import Aggregator
@@ -124,8 +131,8 @@ class LrcProc:
         """Wired by the runtime once the processor exists (the strategy
         holds a back reference until :meth:`detach`)."""
         self.trace: Optional[TraceRecorder] = None
-        """Attached by the runtime when tracing.  All hooks below are
-        observer-only: they never advance the clock or touch protocol
+        """Attached by the runtime when tracing.  Emitting an event below
+        is observer-only: it never advances the clock or touches protocol
         state."""
         # Hot-path locals: the access path runs once per shared access,
         # so the per-access cost constants are cached off the config.
@@ -144,7 +151,9 @@ class LrcProc:
             self._check_range(word0, nwords)
         self.aggregator.ensure_valid(word0, nwords)
         if self.trace is not None:
-            self.trace.on_access(self.pid, self.clock.now, "read", word0, nwords)
+            self.trace.emit(AccessEvent(
+                self.clock.now, self.pid, op="read", word0=word0, nwords=nwords
+            ))
         self.tracker.on_read(word0, nwords)
         clock = self.clock
         clock.now = clock.now + (
@@ -164,7 +173,9 @@ class LrcProc:
         for unit in range(word0 // wpu, (word0 + nwords - 1) // wpu + 1):
             self._prepare_write(unit)
         if self.trace is not None:
-            self.trace.on_access(self.pid, self.clock.now, "write", word0, nwords)
+            self.trace.emit(AccessEvent(
+                self.clock.now, self.pid, op="write", word0=word0, nwords=nwords
+            ))
         self.tracker.on_write(word0, nwords)
         self.space.write_words(word0, values)
         clock = self.clock
@@ -383,7 +394,7 @@ class LrcProc:
         self.stats.twins += 1
         self.stats.mprotects += 1  # remove write protection
         if self.trace is not None:
-            self.trace.on_twin(self.pid, self.clock.now, unit)
+            self.trace.emit(TwinEvent(self.clock.now, self.pid, unit=unit))
         self.clock.advance(
             self.config.mprotect_us
             + self.layout.unit_bytes * self.config.twin_byte_us
@@ -607,7 +618,10 @@ class LrcProc:
                 self.stats.diffs_created += 1
                 self.stats.diff_words_created += d.nwords
                 if self.trace is not None:
-                    self.trace.on_diff_create(writer, self.pid, now, unit, d.nwords)
+                    self.trace.emit(DiffCreateEvent(
+                        now, writer, requester=self.pid, unit=unit,
+                        nwords=d.nwords,
+                    ))
             run_diff.append(d)
             writer_runs[writer].append(position)
 
@@ -671,10 +685,11 @@ class LrcProc:
                     )
                     pages = tuple(int(p) for p in pg)
                     page_words = tuple(int(c) for c in cnt)
-                self.trace.on_diff_apply(
-                    self.pid, now, d.unit, run[0], d.nwords, msg_id,
-                    pages, page_words,
-                )
+                self.trace.emit(DiffApplyEvent(
+                    now, self.pid, unit=d.unit, writer=run[0],
+                    nwords=d.nwords, msg_id=msg_id, pages=pages,
+                    page_words=page_words,
+                ))
 
         self._finish_fault(units, len(by_writer), exchange_ids, stall, apply_cost)
 
@@ -782,9 +797,9 @@ class LrcProc:
         )
         trace_eid = None
         if self.trace is not None:
-            trace_eid = self.trace.on_fault(
-                proc=self.pid,
-                ts=now,
+            trace_eid = self.trace.emit(FaultEvent(
+                now,
+                self.pid,
                 fault_id=len(stats.fault_records),
                 units=tuple(units),
                 writers=writers,
@@ -792,7 +807,7 @@ class LrcProc:
                 stall_us=stall,
                 cost_us=cost,
                 monitoring=monitoring,
-            )
+            ))
         stats.record_fault(
             proc=self.pid,
             time_us=now,

@@ -45,8 +45,9 @@ two states differing only in timing have identical futures.
 from __future__ import annotations
 
 import hashlib
+from array import array
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -202,85 +203,60 @@ class SteppedSystem:
     # Canonical state
     # ------------------------------------------------------------------
     def state_key(self) -> str:
-        """Stable digest of all future-relevant state (see module doc)."""
-        return hashlib.sha256(
-            repr(self._canonical_state()).encode()
-        ).hexdigest()
+        """Stable digest of all future-relevant state (see module doc).
 
-    def _canonical_state(self) -> Tuple[object, ...]:
-        procs_state = []
+        Every field enters one sha256 as a record framed by a tag and a
+        length, so two distinct states cannot feed the same byte stream.
+        ``None`` (no lock holder or last owner) packs as -1, which no
+        processor id takes."""
+        h = hashlib.sha256()
+
+        def put(tag: bytes, data: bytes) -> None:
+            h.update(tag + len(data).to_bytes(8, "little"))
+            h.update(data)
+
+        def ints(tag: bytes, values: Iterable[Optional[int]]) -> None:
+            put(tag, array("q", [-1 if v is None else v for v in values]).tobytes())
+
         for p, lp in enumerate(self.procs):
             cur = self.cursors[p]
-            pending = tuple(
-                (unit, tuple((iv.proc, iv.index, iv.commit_seq) for iv in ivs))
-                for unit, ivs in sorted(lp.pending.items())
-            )
-            twins = tuple(
-                (unit, lp.twin(unit).tobytes())
-                for unit in np.flatnonzero(lp.twinned).tolist()
-            )
-            procs_state.append(
-                (
-                    cur.pc,
-                    cur.blocked,
-                    tuple(sorted(cur.regs.items())),
-                    tuple(lp.vc.entries),
-                    pending,
-                    twins,
-                    lp.space.words.tobytes(),
-                )
-            )
-        store_state = []
+            ints(b"P", (cur.pc, cur.blocked))
+            regs = sorted(cur.regs.items())
+            put(b"R", "\0".join(name for name, _ in regs).encode())
+            ints(b"r", (value for _, value in regs))
+            ints(b"V", lp.vc.entries)
+            for unit, ivs in sorted(lp.pending.items()):
+                ints(b"N", (unit, *(
+                    x for iv in ivs for x in (iv.proc, iv.index, iv.commit_seq)
+                )))
+            for unit in np.flatnonzero(lp.twinned).tolist():
+                ints(b"T", (unit,))
+                put(b"t", lp.twin(unit).tobytes())
+            put(b"H", lp.space.words.tobytes())
         for p in range(self.nprocs):
-            ivs = []
-            for index in sorted(self.store._by_proc[p]):
-                iv = self.store._by_proc[p][index]
+            ints(b"S", (p,))
+            by_index = self.store._by_proc[p]
+            for index in sorted(by_index):
+                iv = by_index[index]
+                ints(b"I", (iv.index, iv.commit_seq, *iv.vc.entries))
                 # The packed record as stored: units, row bounds, values
                 # and change masks determine every diff's offsets and
                 # values, so equal bytes mean equal diffs.
                 d = iv.diffs
-                diffs = tuple(
-                    a.tobytes() for a in (d.units, d.bounds, d.values, d.masks)
-                )
-                ivs.append(
-                    (iv.index, iv.commit_seq, tuple(iv.vc.entries), diffs)
-                )
-            store_state.append(tuple(ivs))
-        store_meta = (
-            self.store._commit_counter,
-            tuple(self.store._closed_count),
-        )
-        locks = tuple(
-            sorted(
-                (
-                    lock_id,
-                    lk.holder,
-                    lk.last_owner,
-                    tuple(lk.last_vc.entries) if lk.last_vc else None,
-                    tuple(proc for proc, _ in lk.waiters),
-                )
-                for lock_id, lk in self.sync.locks.items()
-            )
-        )
-        barriers = tuple(
-            sorted(
-                (bid, tuple(sorted(proc for proc, _ in arrivals)))
-                for bid, arrivals in self.sync.barrier_arrivals.items()
-            )
-        )
-        directory = None
-        d = getattr(self.procs[0], "directory", None)
-        if d is not None:
-            directory = (
-                tuple(d.owner),
-                tuple(tuple(sorted(cs)) for cs in d.copyset),
-                d.excl.tobytes(),
-            )
-        return (
-            tuple(procs_state),
-            tuple(store_state),
-            store_meta,
-            locks,
-            barriers,
-            directory,
-        )
+                for a in (d.units, d.bounds, d.values, d.masks):
+                    put(b"D", a.tobytes())
+        ints(b"C", (self.store._commit_counter, *self.store._closed_count))
+        for lock_id, lk in sorted(self.sync.locks.items()):
+            ints(b"L", (lock_id, lk.holder, lk.last_owner))
+            if lk.last_vc is not None:
+                ints(b"v", lk.last_vc.entries)
+            ints(b"W", (proc for proc, _ in lk.waiters))
+        for bid, arrivals in sorted(self.sync.barrier_arrivals.items()):
+            ints(b"B", (bid, *sorted(proc for proc, _ in arrivals)))
+        directory = getattr(self.procs[0], "directory", None)
+        if directory is not None:
+            ints(b"O", directory.owner)
+            for copyset in directory.copyset:
+                ints(b"c", sorted(copyset))
+            put(b"X", directory.excl.tobytes())
+        return h.hexdigest()

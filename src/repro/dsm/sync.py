@@ -31,6 +31,12 @@ from repro.sim.config import SimConfig
 from repro.sim.engine import Op, OpKind, Resume
 from repro.sim.network import MessageClass, Network
 from repro.stats.counters import ProtocolStats
+from repro.trace.events import (
+    BarrierArriveEvent,
+    BarrierDepartEvent,
+    LockAcquireEvent,
+    LockReleaseEvent,
+)
 
 #: Local cost of a release / a cached re-acquire (bookkeeping only).
 LOCAL_SYNC_US = 5.0
@@ -72,6 +78,9 @@ class SyncManager:
         by the runtime.  Lock-acquire events are emitted at grant time,
         so their trace order is the grant order -- the property the
         happens-before replay relies on.  Observer-only."""
+        self.barrier_instance: Dict[int, int] = {}
+        """Completed occurrences per barrier id, counted only when
+        traced: the ``instance`` of that barrier's next events."""
         self.manager_pid = 0
         """Barrier manager and lock manager processor (proc 0, as is
         conventional for the paper's applications)."""
@@ -115,7 +124,7 @@ class SyncManager:
         lock.holder = None
         lock.last_vc = self.procs[op.proc].vc.copy()
         if self.trace is not None:
-            self.trace.on_lock_release(op.proc, op.ts, op.arg)
+            self.trace.emit(LockReleaseEvent(op.ts, op.proc, lock_id=op.arg))
         resumes = [Resume(op.proc, op.ts + LOCAL_SYNC_US)]
         if lock.waiters:
             waiter, req_ts = lock.waiters.popleft()
@@ -174,9 +183,10 @@ class SyncManager:
         lock.last_owner = proc
         wake_ts = max(req_ts, avail_ts) + cost
         if self.trace is not None:
-            self.trace.on_lock_acquire(
-                proc, lock.lock_id, req_ts, now, wake_ts, cached
-            )
+            self.trace.emit(LockAcquireEvent(
+                now, proc, lock_id=lock.lock_id, req_ts_us=req_ts,
+                wake_ts_us=wake_ts, cached=cached,
+            ))
         return Resume(proc, wake_ts)
 
     def _record_lock_msg(
@@ -202,7 +212,10 @@ class SyncManager:
                 )
         arrivals.append((op.proc, op.ts))
         if self.trace is not None:
-            self.trace.on_barrier_arrive(op.proc, op.ts, op.arg)
+            self.trace.emit(BarrierArriveEvent(
+                op.ts, op.proc, barrier_id=op.arg,
+                instance=self.barrier_instance.get(op.arg, 0),
+            ))
         if len(arrivals) < self.config.nprocs:
             return []
 
@@ -244,10 +257,16 @@ class SyncManager:
                 )
             wake_ts = last_ts + overhead + cost
             if self.trace is not None:
-                self.trace.on_barrier_depart(proc, last_ts, op.arg, wake_ts)
+                self.trace.emit(BarrierDepartEvent(
+                    last_ts, proc, barrier_id=op.arg,
+                    instance=self.barrier_instance.get(op.arg, 0),
+                    wake_ts_us=wake_ts,
+                ))
             resumes.append(Resume(proc, wake_ts))
         if self.trace is not None:
-            self.trace.on_barrier_complete(op.arg)
+            self.barrier_instance[op.arg] = (
+                self.barrier_instance.get(op.arg, 0) + 1
+            )
 
         # After a barrier everyone's vector clock equals `merged`, so any
         # interval it covers that no pending notice references can never

@@ -41,6 +41,7 @@ from repro.faults.plan import FaultPlan, FaultSpec, message_rng
 from repro.sim.config import SimConfig
 from repro.sim.network import MessageClass, MessageRecord, Network
 from repro.stats.counters import ProtocolStats
+from repro.trace.events import FaultInjectedEvent, RetransmitEvent
 
 
 class FaultInjector:
@@ -128,36 +129,36 @@ class FaultInjector:
             resend_ts = rec.send_time_us + offset
             self._mirror(rec, resend_ts)
             if self.trace is not None:
-                self.trace.on_retransmit(
-                    proc=rec.src,
-                    ts=resend_ts,
+                self.trace.emit(RetransmitEvent(
+                    resend_ts,
+                    rec.src,
                     msg_id=rec.msg_id,
                     klass=rec.klass.value,
                     attempt=i + 2,
                     stall_us=offset - prev_offset if i < n_timeouts else 0.0,
-                )
+                ))
                 if i >= n_timeouts:
                     # The tail offset past the timeout count is the
                     # ack-loss resend: delivered data arriving again as
                     # a duplicate at the receiver.
-                    self.trace.on_fault_injected(
-                        proc=rec.dst,
-                        ts=resend_ts,
+                    self.trace.emit(FaultInjectedEvent(
+                        resend_ts,
+                        rec.dst,
                         msg_id=rec.msg_id,
                         klass=rec.klass.value,
                         fault="dup",
                         delay_us=0.0,
-                    )
+                    ))
             prev_offset = offset
         if n_timeouts and self.trace is not None:
-            self.trace.on_fault_injected(
-                proc=rec.src,
-                ts=rec.send_time_us,
+            self.trace.emit(FaultInjectedEvent(
+                rec.send_time_us,
+                rec.src,
                 msg_id=rec.msg_id,
                 klass=rec.klass.value,
                 fault="drop",
                 delay_us=delivery.timeout_stall_us,
-            )
+            ))
 
         # Receiver-side CPU cost of discarding each duplicate copy.
         dup_cpu = delivery.duplicate_deliveries * self.config.msg_cpu_us
@@ -165,40 +166,40 @@ class FaultInjector:
         if delivery.net_dup:
             self._mirror(rec, rec.send_time_us + delivery.timeout_stall_us)
             if self.trace is not None:
-                self.trace.on_fault_injected(
-                    proc=rec.dst,
-                    ts=rec.send_time_us,
+                self.trace.emit(FaultInjectedEvent(
+                    rec.send_time_us,
+                    rec.dst,
                     msg_id=rec.msg_id,
                     klass=rec.klass.value,
                     fault="dup",
                     delay_us=0.0,
-                )
+                ))
 
         # Latency perturbations delay the waiter, not the sender.
         if delivery.jitter_us > 0.0:
             self.jittered_deliveries += 1
             self.overhead_us[pid] += delivery.jitter_us
             if self.trace is not None:
-                self.trace.on_fault_injected(
-                    proc=pid,
-                    ts=rec.send_time_us,
+                self.trace.emit(FaultInjectedEvent(
+                    rec.send_time_us,
+                    pid,
                     msg_id=rec.msg_id,
                     klass=rec.klass.value,
                     fault="jitter",
                     delay_us=delivery.jitter_us,
-                )
+                ))
         if delivery.reorder_us > 0.0:
             self.reordered_deliveries += 1
             self.overhead_us[pid] += delivery.reorder_us
             if self.trace is not None:
-                self.trace.on_fault_injected(
-                    proc=pid,
-                    ts=rec.send_time_us,
+                self.trace.emit(FaultInjectedEvent(
+                    rec.send_time_us,
+                    pid,
                     msg_id=rec.msg_id,
                     klass=rec.klass.value,
                     fault="reorder",
                     delay_us=delivery.reorder_us,
-                )
+                ))
 
     def _mirror(self, rec: MessageRecord, ts: float) -> None:
         """Ledger entry for one injected copy of ``rec``.  Re-notifies
@@ -233,14 +234,14 @@ class FaultInjector:
                 self.overhead_us[win.proc] += win.duration_us * win.factor
                 self.stragglers_applied += 1
                 if self.trace is not None:
-                    self.trace.on_fault_injected(
-                        proc=win.proc,
-                        ts=win.start_us,
+                    self.trace.emit(FaultInjectedEvent(
+                        win.start_us,
+                        win.proc,
                         msg_id=-1,
                         klass="",
                         fault="straggler",
                         delay_us=win.duration_us * win.factor,
-                    )
+                    ))
 
     def summary(self) -> Dict[str, float]:
         """Run-level fault accounting for :attr:`RunResult.extra`."""

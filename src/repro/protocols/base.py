@@ -35,6 +35,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Sequence, Tuple, Type
 from repro.dsm.diff import DIFF_HEADER_BYTES, Diff, apply_diff, whole_unit_diff
 from repro.dsm.lrc import LrcProc
 from repro.sim.config import DEFAULT_PROTOCOL
+from repro.trace.events import DiffApplyEvent, DiffCreateEvent
 
 if TYPE_CHECKING:
     from repro.dsm.address_space import SharedHeapLayout
@@ -187,10 +188,11 @@ def fetch_whole_units(
             if proc.trace is not None:
                 w0, w1 = layout.unit_word_range(unit)
                 pages = tuple(layout.pages_of_range(w0, w1 - w0))
-                proc.trace.on_diff_apply(
-                    proc.pid, now, unit, peer, wpu, reply_id,
-                    pages, (layout.words_per_page,) * len(pages),
-                )
+                proc.trace.emit(DiffApplyEvent(
+                    now, proc.pid, unit=unit, writer=peer, nwords=wpu,
+                    msg_id=reply_id, pages=pages,
+                    page_words=(layout.words_per_page,) * len(pages),
+                ))
     stall += 2 * config.msg_cpu_us * len(by_peer)
 
     proc._finish_fault(units, len(by_peer), exchange_ids, stall, apply_cost)
@@ -218,7 +220,9 @@ def eager_diff(
     proc.stats.diffs_created += 1
     proc.stats.diff_words_created += d.nwords
     if proc.trace is not None:
-        proc.trace.on_diff_create(proc.pid, proc.pid, now, unit, d.nwords)
+        proc.trace.emit(DiffCreateEvent(
+            now, proc.pid, requester=proc.pid, unit=unit, nwords=d.nwords
+        ))
     return d, proc.layout.unit_bytes * proc.config.diff_create_byte_us
 
 

@@ -33,6 +33,7 @@ from typing import List, NoReturn, Sequence
 from repro.dsm.lrc import LrcProc
 from repro.protocols.base import ProtocolInfo, deliver, eager_diff, register
 from repro.sim.network import MessageClass
+from repro.trace.events import DiffPushEvent
 
 
 class EagerRcProc(LrcProc):
@@ -81,10 +82,10 @@ class EagerRcProc(LrcProc):
             peer.vc.join(self.vc)
             self.stats.update_pushes += 1
             if self.trace is not None:
-                self.trace.on_diff_push(
-                    self.pid, peer.pid, now, tuple(units), total_words,
-                    msg.msg_id,
-                )
+                self.trace.emit(DiffPushEvent(
+                    now, self.pid, dst=peer.pid, units=tuple(units),
+                    nwords=total_words, msg_id=msg.msg_id,
+                ))
         # Notices were delivered with the pushes; nothing rides on the
         # next barrier-arrival message.
         self.unsent_notices = 0

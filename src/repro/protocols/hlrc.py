@@ -41,6 +41,7 @@ from repro.protocols.base import (
     register,
 )
 from repro.sim.network import MessageClass
+from repro.trace.events import DiffFlushEvent
 
 #: A unit number, or an array of them (:meth:`HomeLrcProc.home` maps
 #: both).
@@ -83,9 +84,10 @@ class HomeLrcProc(LrcProc):
             deliver(self.peers[home], d, msg.msg_id)
             self.stats.diff_flushes += 1
             if self.trace is not None:
-                self.trace.on_diff_flush(
-                    self.pid, home, now, unit, d.nwords, msg.msg_id
-                )
+                self.trace.emit(DiffFlushEvent(
+                    now, self.pid, home=home, unit=unit, nwords=d.nwords,
+                    msg_id=msg.msg_id,
+                ))
         self.clock.advance(cost)
 
     # ------------------------------------------------------------------

@@ -47,6 +47,7 @@ from repro.dsm.intervals import Interval
 from repro.dsm.lrc import LrcProc
 from repro.protocols.base import ProtocolInfo, fetch_whole_units, register
 from repro.sim.network import MessageClass
+from repro.trace.events import OwnershipEvent
 
 #: Wire sizes of the ownership / invalidation control messages.
 OWNERSHIP_REQUEST_BYTES = 16
@@ -175,7 +176,10 @@ class SwiProc(LrcProc):
         d.copyset[unit] = {self.pid}
         d.excl[unit] = self.pid
         if self.trace is not None:
-            self.trace.on_ownership(self.pid, now, unit, prev, len(sharers))
+            self.trace.emit(OwnershipEvent(
+                now, self.pid, unit=unit, prev_owner=prev,
+                invalidated=len(sharers),
+            ))
         self.clock.advance(cost)
 
     # ------------------------------------------------------------------

@@ -46,6 +46,7 @@ from typing import Callable, List, Optional, Sequence
 
 from repro.sim.clock import Clock
 from repro.sim.config import SimConfig
+from repro.trace.events import ParkEvent, ResumeEvent
 
 
 class DeadlockError(RuntimeError):
@@ -126,7 +127,7 @@ class Engine:
         self._heap: List[tuple] = []  # (ts, seq, entry) where entry is Op|Resume
         self.trace = None
         """Optional :class:`repro.trace.recorder.TraceRecorder` attached
-        by the runtime; park/resume hooks feed the per-processor
+        by the runtime; park/resume events feed the per-processor
         timeline.  Observer-only: never affects scheduling."""
         self._seq = 0
         self._main_event = threading.Event()
@@ -150,7 +151,9 @@ class Engine:
         its wake time.
         """
         if self.trace is not None:
-            self.trace.on_park(ctx.pid, ctx.clock.now, kind.value, arg)
+            self.trace.emit(
+                ParkEvent(ctx.clock.now, ctx.pid, op_kind=kind.value, arg=arg)
+            )
         self._seq += 1
         op = Op(kind=kind, proc=ctx.pid, ts=ctx.clock.now, arg=arg, seq=self._seq)
         self._seq += 1
@@ -242,7 +245,7 @@ class Engine:
             if isinstance(entry, Resume):
                 tgt = self.procs[entry.proc]
                 if self.trace is not None:
-                    self.trace.on_resume(tgt.pid, entry.wake_ts)
+                    self.trace.emit(ResumeEvent(entry.wake_ts, tgt.pid))
                 tgt.clock.advance_to(entry.wake_ts)
                 if tgt is self_ctx:
                     return True

@@ -164,45 +164,16 @@ class Network:
         self._bytes_by_class: List[int] = [0] * len(MessageClass)
         self._next_exchange = 0
         self._observers: List[object] = []
-        self._trace = None
-
-    # ------------------------------------------------------------------
-    # Observers
-    # ------------------------------------------------------------------
-    @property
-    def trace(self) -> object:
-        """Optional :class:`repro.trace.recorder.TraceRecorder`; every
-        recorded message is mirrored as a trace event.  Stored in the
-        shared observer list (always first, so the trace sees a message
-        before any fault injector reacts to it); assigning None detaches
-        it.  Observer-only: never affects accounting."""
-        return self._trace
-
-    @trace.setter
-    def trace(self, recorder: object) -> None:
-        if self._trace is not None:
-            self._observers.remove(self._trace)
-        self._trace = recorder
-        if recorder is not None:
-            self._observers.insert(0, recorder)
 
     def add_observer(self, observer: object) -> None:
         """Register a message observer (``on_message(rec, wire_time_us,
-        waiter)``).  Observers are notified in registration order, after
-        the trace recorder; the shared list replaces the former bare
-        ``trace`` attribute so trace and fault injection compose without
-        ordering hazards."""
+        waiter)``), notified of every recorded message in registration
+        order: the runtime registers the trace recorder before the fault
+        injector, so a timeline shows each message before the faults
+        injected into it."""
         if observer in self._observers:
             raise ValueError("observer registered twice")
         self._observers.append(observer)
-
-    def remove_observer(self, observer: object) -> None:
-        self._observers.remove(observer)
-
-    @property
-    def observers(self) -> tuple:
-        """Snapshot of the registered observers, notification order."""
-        return tuple(self._observers)
 
     # ------------------------------------------------------------------
     # Recording
@@ -249,7 +220,7 @@ class Network:
         observers = self._observers
         if observers:
             wire_time = self.config.msg_cost_us(payload_bytes)
-            for obs in tuple(observers):
+            for obs in observers:
                 obs.on_message(rec, wire_time, waiter)
         return rec
 
@@ -290,24 +261,6 @@ class Network:
         if klass is None:
             return sum(self._bytes_by_class)
         return self._bytes_by_class[klass.ordinal]
-
-    @property
-    def sync_message_count(self) -> int:
-        """Messages attributable to locks and barriers."""
-        return sum(self._by_class[c.ordinal] for c in SYNC_CLASSES)
-
-    @property
-    def data_message_count(self) -> int:
-        """Messages attributable to data traffic: fault-time requests
-        plus every data-carrying class (replies, flushes, pushes)."""
-        return self._by_class[MessageClass.DIFF_REQUEST.ordinal] + sum(
-            self._by_class[c.ordinal] for c in DATA_CLASSES
-        )
-
-    @property
-    def fault_message_count(self) -> int:
-        """Transport-level copies injected by the fault lab."""
-        return self._by_class[MessageClass.RETRANSMIT.ordinal]
 
     def exchange_reply(self, ex_id: int) -> MessageRecord:
         """The reply message of an exchange (for usefulness queries)."""

@@ -3,8 +3,8 @@
 The trace subsystem is the observability layer over the simulated DSM:
 
 * :mod:`repro.trace.events` / :mod:`repro.trace.recorder` -- typed,
-  opt-in structured event records (``SimConfig.trace=True``) emitted
-  from observer hooks in the sim substrate and the protocol core;
+  opt-in structured event records (``SimConfig.trace=True``) that the
+  sim substrate and the protocol core build and ``emit``;
 * :mod:`repro.trace.export` -- Chrome-trace/Perfetto JSON (one track
   per simulated processor, message flow arrows) and JSONL export;
 * :mod:`repro.trace.hb` -- a vector-clock happens-before race detector
@@ -15,8 +15,8 @@ The trace subsystem is the observability layer over the simulated DSM:
 * ``python -m repro trace <app> <dataset> <unit>`` (see
   :mod:`repro.cli`) runs one cell traced and prints all of the above.
 
-Tracing is *zero-cost with respect to the simulation*: the hooks only
-observe state the protocol already computed, so a traced run yields
+Tracing is *zero-cost with respect to the simulation*: emitting sites
+only observe state the protocol already computed, so a traced run yields
 bit-identical simulated times and message counts to an untraced run
 (asserted in ``tests/trace/test_zero_cost.py``).
 """

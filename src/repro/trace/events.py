@@ -9,14 +9,16 @@ events appear in its program order, and synchronization events appear in
 the order the scheduler serviced them.  The happens-before detector
 (:mod:`repro.trace.hb`) relies on exactly this property.
 
-Events are plain mutable dataclasses so the recorder can stamp ``eid``
-at emit time; they are not meant to be constructed by anything but the
-hooks (and tests).
+Each emitting site builds its event and hands it to
+:meth:`repro.trace.recorder.TraceRecorder.emit`, e.g.
+``trace.emit(TwinEvent(now, pid, unit=unit))``.  ``eid`` and ``kind``
+are not constructor arguments: ``kind`` is fixed per subclass and
+``eid`` is stamped by ``emit``, so events are plain mutable dataclasses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Optional, Tuple
 
 
@@ -24,8 +26,8 @@ from typing import Optional, Tuple
 class TraceEvent:
     """Common header of every trace event."""
 
-    eid: int
-    """Sequence id assigned by the recorder (== index in the event list)."""
+    eid: int = field(default=-1, init=False)
+    """Sequence id stamped by the recorder (== index in the event list)."""
 
     ts_us: float
     """Simulated time at which the event happened (microseconds)."""
@@ -34,13 +36,15 @@ class TraceEvent:
     """The processor the event belongs to (message events use the
     sender; diff-create events use the writer that serves the scan)."""
 
-    kind: str = ""
-    """Short event-type tag, fixed per subclass (set in __post_init__)."""
+    kind: str = field(default="", init=False)
+    """Short event-type tag, fixed per subclass."""
 
 
 @dataclass
 class AccessEvent(TraceEvent):
     """One application-level shared access (read or write)."""
+
+    kind: str = field(default="access", init=False)
 
     op: str = ""
     """``"read"`` or ``"write"``."""
@@ -48,14 +52,13 @@ class AccessEvent(TraceEvent):
     word0: int = 0
     nwords: int = 0
 
-    def __post_init__(self) -> None:
-        self.kind = "access"
-
 
 @dataclass
 class FaultEvent(TraceEvent):
     """One access miss serviced by the protocol (or a dynamic-mode
     access-tracking fault when ``monitoring`` is true)."""
+
+    kind: str = field(default="fault", init=False)
 
     fault_id: int = -1
     units: Tuple[int, ...] = ()
@@ -70,18 +73,14 @@ class FaultEvent(TraceEvent):
 
     monitoring: bool = False
 
-    def __post_init__(self) -> None:
-        self.kind = "fault"
-
 
 @dataclass
 class TwinEvent(TraceEvent):
     """A twin copy was created (first write to a unit in an interval)."""
 
-    unit: int = -1
+    kind: str = field(default="twin", init=False)
 
-    def __post_init__(self) -> None:
-        self.kind = "twin"
+    unit: int = -1
 
 
 @dataclass
@@ -89,17 +88,18 @@ class DiffCreateEvent(TraceEvent):
     """A writer ran the word-compare scan building a diff (lazy, at the
     first request for the span; ``proc`` is the writer)."""
 
+    kind: str = field(default="diff_create", init=False)
+
     requester: int = -1
     unit: int = -1
     nwords: int = 0
-
-    def __post_init__(self) -> None:
-        self.kind = "diff_create"
 
 
 @dataclass
 class DiffApplyEvent(TraceEvent):
     """A fetched diff was patched into the faulting processor's copy."""
+
+    kind: str = field(default="diff_apply", init=False)
 
     unit: int = -1
     writer: int = -1
@@ -113,13 +113,12 @@ class DiffApplyEvent(TraceEvent):
     page_words: Tuple[int, ...] = ()
     """Words installed per entry of ``pages`` (same order)."""
 
-    def __post_init__(self) -> None:
-        self.kind = "diff_apply"
-
 
 @dataclass
 class MessageEvent(TraceEvent):
     """One simulated protocol message (``proc`` is the sender)."""
+
+    kind: str = field(default="message", init=False)
 
     msg_id: int = -1
     src: int = -1
@@ -132,15 +131,14 @@ class MessageEvent(TraceEvent):
 
     exchange_id: Optional[int] = None
 
-    def __post_init__(self) -> None:
-        self.kind = "message"
-
 
 @dataclass
 class LockAcquireEvent(TraceEvent):
     """A lock was granted to ``proc`` (``ts_us`` is the grant time; the
     recorder order of acquire events is the grant order, which the
     happens-before replay uses)."""
+
+    kind: str = field(default="lock_acquire", init=False)
 
     lock_id: int = -1
     req_ts_us: float = 0.0
@@ -152,30 +150,25 @@ class LockAcquireEvent(TraceEvent):
     cached: bool = False
     """True for a free re-acquire by the last owner."""
 
-    def __post_init__(self) -> None:
-        self.kind = "lock_acquire"
-
 
 @dataclass
 class LockReleaseEvent(TraceEvent):
     """``proc`` released a lock."""
 
-    lock_id: int = -1
+    kind: str = field(default="lock_release", init=False)
 
-    def __post_init__(self) -> None:
-        self.kind = "lock_release"
+    lock_id: int = -1
 
 
 @dataclass
 class BarrierArriveEvent(TraceEvent):
     """``proc`` arrived at a barrier."""
 
+    kind: str = field(default="barrier_arrive", init=False)
+
     barrier_id: int = -1
     instance: int = 0
     """Which occurrence of this barrier id (0-based)."""
-
-    def __post_init__(self) -> None:
-        self.kind = "barrier_arrive"
 
 
 @dataclass
@@ -183,35 +176,32 @@ class BarrierDepartEvent(TraceEvent):
     """``proc`` departs a completed barrier (``ts_us`` is the last
     arrival time, ``wake_ts_us`` when this processor actually resumes)."""
 
+    kind: str = field(default="barrier_depart", init=False)
+
     barrier_id: int = -1
     instance: int = 0
     wake_ts_us: float = 0.0
-
-    def __post_init__(self) -> None:
-        self.kind = "barrier_depart"
 
 
 @dataclass
 class GroupBuildEvent(TraceEvent):
     """Dynamic aggregation formed a page group at a synchronization."""
 
-    pages: Tuple[int, ...] = ()
+    kind: str = field(default="group_build", init=False)
 
-    def __post_init__(self) -> None:
-        self.kind = "group_build"
+    pages: Tuple[int, ...] = ()
 
 
 @dataclass
 class GroupFetchEvent(TraceEvent):
     """A fault on one member fetched the pending diffs of its group."""
 
+    kind: str = field(default="group_fetch", init=False)
+
     page: int = -1
     group: Tuple[int, ...] = ()
     fetched: Tuple[int, ...] = ()
     """The members that actually had pending diffs to fetch."""
-
-    def __post_init__(self) -> None:
-        self.kind = "group_fetch"
 
 
 @dataclass
@@ -219,10 +209,9 @@ class GroupDissolveEvent(TraceEvent):
     """Hysteresis dropped a page from its group (group-fetched but never
     accessed during the interval)."""
 
-    page: int = -1
+    kind: str = field(default="group_dissolve", init=False)
 
-    def __post_init__(self) -> None:
-        self.kind = "group_dissolve"
+    page: int = -1
 
 
 @dataclass
@@ -230,14 +219,13 @@ class DiffFlushEvent(TraceEvent):
     """Home-based LRC: a releaser flushed one unit's diff to the unit's
     home node (``proc`` is the releaser)."""
 
+    kind: str = field(default="diff_flush", init=False)
+
     home: int = -1
     unit: int = -1
     nwords: int = 0
     msg_id: int = -1
     """The DIFF_FLUSH message that carried the diff."""
-
-    def __post_init__(self) -> None:
-        self.kind = "diff_flush"
 
 
 @dataclass
@@ -245,14 +233,13 @@ class DiffPushEvent(TraceEvent):
     """Eager release consistency: a releaser pushed its interval's diffs
     and write notices to one sharer (``proc`` is the releaser)."""
 
+    kind: str = field(default="diff_push", init=False)
+
     dst: int = -1
     units: Tuple[int, ...] = ()
     nwords: int = 0
     msg_id: int = -1
     """The DIFF_PUSH message that carried the update."""
-
-    def __post_init__(self) -> None:
-        self.kind = "diff_push"
 
 
 @dataclass
@@ -261,12 +248,11 @@ class OwnershipEvent(TraceEvent):
     (``prev_owner`` is -1 for a first-touch claim), invalidating
     ``invalidated`` other copies."""
 
+    kind: str = field(default="ownership", init=False)
+
     unit: int = -1
     prev_owner: int = -1
     invalidated: int = 0
-
-    def __post_init__(self) -> None:
-        self.kind = "ownership"
 
 
 @dataclass
@@ -274,6 +260,8 @@ class FaultInjectedEvent(TraceEvent):
     """The fault lab perturbed one message delivery (or, for
     ``fault == "straggler"``, paused a node).  ``proc`` is the processor
     that pays the injected delay."""
+
+    kind: str = field(default="fault_injected", init=False)
 
     msg_id: int = -1
     """Ledger id of the perturbed message (-1 for straggler windows)."""
@@ -288,15 +276,14 @@ class FaultInjectedEvent(TraceEvent):
     delay_us: float = 0.0
     """Shadow delay charged for this fault (0 for pure duplicates)."""
 
-    def __post_init__(self) -> None:
-        self.kind = "fault_injected"
-
 
 @dataclass
 class RetransmitEvent(TraceEvent):
     """The reliable-delivery layer re-sent one message copy (``proc`` is
     the sender; the copy is also in the ledger as a RETRANSMIT-class
     message)."""
+
+    kind: str = field(default="retransmit", init=False)
 
     msg_id: int = -1
     klass: str = ""
@@ -307,13 +294,12 @@ class RetransmitEvent(TraceEvent):
     """Timeout the sender sat through before this copy (0 for the
     ack-loss resend, which happens after delivery)."""
 
-    def __post_init__(self) -> None:
-        self.kind = "retransmit"
-
 
 @dataclass
 class ParkEvent(TraceEvent):
     """A processor parked at a synchronization operation (engine level)."""
+
+    kind: str = field(default="park", init=False)
 
     op_kind: str = ""
     """``acquire`` / ``release`` / ``barrier`` / ``finish``."""
@@ -321,16 +307,12 @@ class ParkEvent(TraceEvent):
     arg: int = 0
     """Lock or barrier id."""
 
-    def __post_init__(self) -> None:
-        self.kind = "park"
-
 
 @dataclass
 class ResumeEvent(TraceEvent):
     """The scheduler woke a processor at ``ts_us``."""
 
-    def __post_init__(self) -> None:
-        self.kind = "resume"
+    kind: str = field(default="resume", init=False)
 
 
 def event_to_dict(ev: TraceEvent) -> dict:

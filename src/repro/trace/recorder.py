@@ -2,46 +2,27 @@
 
 One :class:`TraceRecorder` per traced run, created by
 :class:`repro.core.treadmarks.TreadMarks` when ``SimConfig.trace`` is
-true and handed to the substrate and protocol layers, which call the
-``on_*`` hooks below from their existing code paths.
+true and handed to the substrate and protocol layers.  Each emitting
+site builds its typed event (:mod:`repro.trace.events`) from values it
+already holds and passes it to :meth:`TraceRecorder.emit`; messages
+arrive through :meth:`TraceRecorder.on_message`, the network-observer
+interface the recorder shares with the fault injector.
 
-The recorder is a pure observer: hooks only read values the protocol
-already computed and append an event to a Python list.  They never
-advance a clock, record a message, or touch protocol state, which is
-what makes the zero-cost guarantee (traced and untraced runs produce
+The recorder is a pure observer: emitting only reads values the protocol
+already computed and appends an event to a Python list.  It never
+advances a clock, records a message, or touches protocol state, which
+is what makes the zero-cost guarantee (traced and untraced runs produce
 bit-identical simulated results) hold by construction.
 
-Hook call sites pay one ``if trace is not None`` branch when tracing is
+Emitting sites pay one ``if trace is not None`` branch when tracing is
 off; that is the entire disabled-mode overhead.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional
 
-from repro.trace.events import (
-    AccessEvent,
-    BarrierArriveEvent,
-    BarrierDepartEvent,
-    DiffApplyEvent,
-    DiffCreateEvent,
-    DiffFlushEvent,
-    DiffPushEvent,
-    FaultEvent,
-    FaultInjectedEvent,
-    GroupBuildEvent,
-    GroupDissolveEvent,
-    GroupFetchEvent,
-    LockAcquireEvent,
-    LockReleaseEvent,
-    MessageEvent,
-    OwnershipEvent,
-    ParkEvent,
-    ResumeEvent,
-    RetransmitEvent,
-    TraceEvent,
-    TwinEvent,
-)
+from repro.trace.events import MessageEvent, TraceEvent
 
 if TYPE_CHECKING:
     from repro.dsm.address_space import SharedHeapLayout
@@ -55,7 +36,6 @@ class TraceRecorder:
     def __init__(self, config: "SimConfig") -> None:
         self.config = config
         self.events: List[TraceEvent] = []
-        self._barrier_instance: Dict[int, int] = {}
         # Post-run analysis context, attached by the runtime so exports
         # and reports can resolve geometry and message usefulness.
         self.layout: Optional["SharedHeapLayout"] = None
@@ -63,140 +43,23 @@ class TraceRecorder:
         self.app_name: str = ""
         self.dataset: str = ""
 
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def _emit(self, ev: TraceEvent) -> int:
+    def emit(self, ev: TraceEvent) -> int:
+        """Stamp ``ev.eid`` with its index in the log, append it, and
+        return the id (:meth:`ProtocolStats.record_fault` keeps a fault's
+        id as ``trace_eid``)."""
         ev.eid = len(self.events)
         self.events.append(ev)
         return ev.eid
 
-    def by_kind(self, kind: str) -> List[TraceEvent]:
-        """All events of one kind, in emission order."""
-        return [ev for ev in self.events if ev.kind == kind]
-
-    # ------------------------------------------------------------------
-    # Application access path (repro.dsm.lrc)
-    # ------------------------------------------------------------------
-    def on_access(
-        self, proc: int, ts: float, op: str, word0: int, nwords: int
-    ) -> int:
-        return self._emit(
-            AccessEvent(-1, ts, proc, op=op, word0=word0, nwords=nwords)
-        )
-
-    def on_fault(
-        self,
-        proc: int,
-        ts: float,
-        fault_id: int,
-        units: Tuple[int, ...],
-        writers: int,
-        exchange_ids: Tuple[int, ...],
-        stall_us: float,
-        cost_us: float,
-        monitoring: bool = False,
-    ) -> int:
-        return self._emit(
-            FaultEvent(
-                -1,
-                ts,
-                proc,
-                fault_id=fault_id,
-                units=units,
-                writers=writers,
-                exchange_ids=exchange_ids,
-                stall_us=stall_us,
-                cost_us=cost_us,
-                monitoring=monitoring,
-            )
-        )
-
-    def on_twin(self, proc: int, ts: float, unit: int) -> int:
-        return self._emit(TwinEvent(-1, ts, proc, unit=unit))
-
-    def on_diff_create(
-        self, writer: int, requester: int, ts: float, unit: int, nwords: int
-    ) -> int:
-        return self._emit(
-            DiffCreateEvent(
-                -1, ts, writer, requester=requester, unit=unit, nwords=nwords
-            )
-        )
-
-    def on_diff_apply(
-        self,
-        proc: int,
-        ts: float,
-        unit: int,
-        writer: int,
-        nwords: int,
-        msg_id: int,
-        pages: Tuple[int, ...],
-        page_words: Tuple[int, ...],
-    ) -> int:
-        return self._emit(
-            DiffApplyEvent(
-                -1,
-                ts,
-                proc,
-                unit=unit,
-                writer=writer,
-                nwords=nwords,
-                msg_id=msg_id,
-                pages=pages,
-                page_words=page_words,
-            )
-        )
-
-    # ------------------------------------------------------------------
-    # Protocol zoo (repro.protocols)
-    # ------------------------------------------------------------------
-    def on_diff_flush(
-        self, proc: int, home: int, ts: float, unit: int, nwords: int,
-        msg_id: int,
-    ) -> int:
-        return self._emit(
-            DiffFlushEvent(
-                -1, ts, proc, home=home, unit=unit, nwords=nwords,
-                msg_id=msg_id,
-            )
-        )
-
-    def on_diff_push(
-        self, proc: int, dst: int, ts: float, units: Tuple[int, ...],
-        nwords: int, msg_id: int,
-    ) -> int:
-        return self._emit(
-            DiffPushEvent(
-                -1, ts, proc, dst=dst, units=units, nwords=nwords,
-                msg_id=msg_id,
-            )
-        )
-
-    def on_ownership(
-        self, proc: int, ts: float, unit: int, prev_owner: int,
-        invalidated: int,
-    ) -> int:
-        return self._emit(
-            OwnershipEvent(
-                -1, ts, proc, unit=unit, prev_owner=prev_owner,
-                invalidated=invalidated,
-            )
-        )
-
-    # ------------------------------------------------------------------
-    # Network (repro.sim.network)
-    # ------------------------------------------------------------------
     def on_message(
         self,
         rec: "MessageRecord",
         wire_time_us: float,
         waiter: Optional[int] = None,
     ) -> int:
-        return self._emit(
+        """:class:`repro.sim.network.Network` observer: log one message."""
+        return self.emit(
             MessageEvent(
-                -1,
                 rec.send_time_us,
                 rec.src,
                 msg_id=rec.msg_id,
@@ -208,137 +71,3 @@ class TraceRecorder:
                 exchange_id=rec.exchange_id,
             )
         )
-
-    # ------------------------------------------------------------------
-    # Fault lab (repro.faults.inject)
-    # ------------------------------------------------------------------
-    def on_fault_injected(
-        self,
-        proc: int,
-        ts: float,
-        msg_id: int,
-        klass: str,
-        fault: str,
-        delay_us: float,
-    ) -> int:
-        return self._emit(
-            FaultInjectedEvent(
-                -1,
-                ts,
-                proc,
-                msg_id=msg_id,
-                klass=klass,
-                fault=fault,
-                delay_us=delay_us,
-            )
-        )
-
-    def on_retransmit(
-        self,
-        proc: int,
-        ts: float,
-        msg_id: int,
-        klass: str,
-        attempt: int,
-        stall_us: float,
-    ) -> int:
-        return self._emit(
-            RetransmitEvent(
-                -1,
-                ts,
-                proc,
-                msg_id=msg_id,
-                klass=klass,
-                attempt=attempt,
-                stall_us=stall_us,
-            )
-        )
-
-    # ------------------------------------------------------------------
-    # Synchronization (repro.dsm.sync)
-    # ------------------------------------------------------------------
-    def on_lock_acquire(
-        self,
-        proc: int,
-        lock_id: int,
-        req_ts: float,
-        grant_ts: float,
-        wake_ts: float,
-        cached: bool,
-    ) -> int:
-        return self._emit(
-            LockAcquireEvent(
-                -1,
-                grant_ts,
-                proc,
-                lock_id=lock_id,
-                req_ts_us=req_ts,
-                wake_ts_us=wake_ts,
-                cached=cached,
-            )
-        )
-
-    def on_lock_release(self, proc: int, ts: float, lock_id: int) -> int:
-        return self._emit(LockReleaseEvent(-1, ts, proc, lock_id=lock_id))
-
-    def on_barrier_arrive(self, proc: int, ts: float, barrier_id: int) -> int:
-        inst = self._barrier_instance.get(barrier_id, 0)
-        return self._emit(
-            BarrierArriveEvent(
-                -1, ts, proc, barrier_id=barrier_id, instance=inst
-            )
-        )
-
-    def on_barrier_depart(
-        self, proc: int, ts: float, barrier_id: int, wake_ts: float
-    ) -> int:
-        inst = self._barrier_instance.get(barrier_id, 0)
-        return self._emit(
-            BarrierDepartEvent(
-                -1,
-                ts,
-                proc,
-                barrier_id=barrier_id,
-                instance=inst,
-                wake_ts_us=wake_ts,
-            )
-        )
-
-    def on_barrier_complete(self, barrier_id: int) -> None:
-        """Close the current occurrence of ``barrier_id`` (called once
-        after all depart events of the instance were emitted)."""
-        self._barrier_instance[barrier_id] = (
-            self._barrier_instance.get(barrier_id, 0) + 1
-        )
-
-    # ------------------------------------------------------------------
-    # Dynamic aggregation (repro.dsm.aggregation)
-    # ------------------------------------------------------------------
-    def on_group_build(
-        self, proc: int, ts: float, pages: Tuple[int, ...]
-    ) -> int:
-        return self._emit(GroupBuildEvent(-1, ts, proc, pages=pages))
-
-    def on_group_fetch(
-        self,
-        proc: int,
-        ts: float,
-        page: int,
-        group: Tuple[int, ...],
-        fetched: Tuple[int, ...],
-    ) -> int:
-        return self._emit(
-            GroupFetchEvent(-1, ts, proc, page=page, group=group, fetched=fetched)
-        )
-
-    def on_group_dissolve(self, proc: int, ts: float, page: int) -> int:
-        return self._emit(GroupDissolveEvent(-1, ts, proc, page=page))
-
-    # ------------------------------------------------------------------
-    # Engine (repro.sim.engine)
-    # ------------------------------------------------------------------
-    def on_park(self, proc: int, ts: float, op_kind: str, arg: int) -> int:
-        return self._emit(ParkEvent(-1, ts, proc, op_kind=op_kind, arg=arg))
-
-    def on_resume(self, proc: int, ts: float) -> int:
-        return self._emit(ResumeEvent(-1, ts, proc))

@@ -243,7 +243,7 @@ def test_second_requester_is_served_the_cached_span(monkeypatch):
     # One scan, one diff_create event -- charged to the first requester.
     assert tmk.stats.diffs_created == 1
     assert tmk.stats.diffs_applied == 2
-    creates = tmk.trace.by_kind("diff_create")
+    creates = [ev for ev in tmk.trace.events if ev.kind == "diff_create"]
     assert len(creates) == 1 and creates[0].nwords == 2
 
 

@@ -27,7 +27,7 @@ def test_clean_plan_is_a_no_op():
     network.record(0, 1, MessageClass.LOCK, 16, 10.0, waiter=0)
     assert stats.retransmissions == 0
     assert inj.overhead_us == [0.0] * 4
-    assert network.fault_message_count == 0
+    assert network.count(MessageClass.RETRANSMIT) == 0
 
 
 def test_drop_mirrors_retransmit_records_and_charges_waiter():
@@ -44,7 +44,7 @@ def test_drop_mirrors_retransmit_records_and_charges_waiter():
     # original's payload.
     copies = [m for m in network.messages
               if m.klass is MessageClass.RETRANSMIT]
-    assert len(copies) == network.fault_message_count > 0
+    assert len(copies) == network.count(MessageClass.RETRANSMIT) > 0
     assert all(m.payload_bytes == 16 for m in copies)
 
 
@@ -72,7 +72,7 @@ def test_injector_ignores_retransmit_class():
     plan = FaultPlan.uniform(seed=3, drop_rate=0.5)
     inj, network, stats = make_injector(plan)
     network.record(0, 1, MessageClass.RETRANSMIT, 16, 0.0)
-    assert stats.retransmissions == 0 and network.fault_message_count == 1
+    assert stats.retransmissions == 0 and network.count(MessageClass.RETRANSMIT) == 1
 
 
 def test_finalize_stragglers_once():
@@ -101,14 +101,16 @@ def test_unknown_straggler_proc_rejected_at_construction():
 def test_network_observer_registry():
     config = SimConfig(nprocs=2, unit_pages=1)
     network = Network(config)
-    plan = FaultPlan.uniform(seed=0, drop_rate=0.1)
-    inj = FaultInjector(plan, config, network, ProtocolStats())
+    plan = FaultPlan.uniform(seed=0, dup_rate=0.999999999)
+    stats = ProtocolStats()
+    inj = FaultInjector(plan, config, network, stats)
     network.add_observer(inj)
-    assert network.observers == (inj,)
+    # A recorded message reaches the injector, which duplicates it.
+    network.record(0, 1, MessageClass.LOCK, 16, 0.0, waiter=1)
+    assert stats.duplicate_deliveries == 1
+    assert network.count(MessageClass.RETRANSMIT) == 1
     with pytest.raises(ValueError, match="registered twice"):
         network.add_observer(inj)
-    network.remove_observer(inj)
-    assert network.observers == ()
 
 
 def test_runtime_wires_injector_and_reports_summary():

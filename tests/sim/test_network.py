@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim.config import SimConfig
-from repro.sim.network import MessageClass, Network
+from repro.sim.network import DATA_CLASSES, SYNC_CLASSES, MessageClass, Network
 
 
 @pytest.fixture
@@ -34,8 +34,10 @@ def test_counts_by_class(net):
     net.record(2, 0, MessageClass.DIFF_REPLY, 100, 0.0)
     assert net.count() == 4
     assert net.count(MessageClass.LOCK) == 1
-    assert net.sync_message_count == 2
-    assert net.data_message_count == 2
+    assert sum(net.count(k) for k in SYNC_CLASSES) == 2
+    assert net.count(MessageClass.DIFF_REQUEST) + sum(
+        net.count(k) for k in DATA_CLASSES
+    ) == 2
 
 
 def test_bytes_by_class(net):

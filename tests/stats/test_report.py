@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import SimConfig, TreadMarks
-from repro.sim.network import MessageClass
+from repro.sim.network import SYNC_CLASSES, MessageClass
 
 
 def run_pattern(body, nprocs=4, **cfg):
@@ -72,7 +72,7 @@ def test_conservation_messages():
     c = res.comm
     assert c.total_messages == len(tmk.network.messages)
     assert c.useful_messages + c.useless_messages == c.data_messages
-    assert c.sync_messages == tmk.network.sync_message_count
+    assert c.sync_messages == sum(tmk.network.count(k) for k in SYNC_CLASSES)
 
 
 def test_conservation_bytes():

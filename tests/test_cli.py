@@ -95,3 +95,18 @@ def test_module_alias_forwards_to_its_subcommand():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: python -m repro bench ")
     assert "--refresh-golden" in proc.stdout
+
+
+def test_package_import_is_lazy():
+    """``import repro`` (and so ``python -m repro --help``) loads neither
+    numpy nor the simulator."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro; print(sorted("
+         "m for m in ('numpy', 'repro.core') if m in sys.modules))"],
+        capture_output=True, text=True, env=env, cwd=REPO, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -48,7 +48,9 @@ def test_useless_traffic_localized_with_labels(mgs_8k):
 def test_totals_match_diff_traffic(mgs_8k):
     rows = attribute_pages(mgs_8k.trace)
     total_words = sum(r.words_received for r in rows)
-    applied = sum(ev.nwords for ev in mgs_8k.trace.by_kind("diff_apply"))
+    applied = sum(
+        ev.nwords for ev in mgs_8k.trace.events if ev.kind == "diff_apply"
+    )
     assert total_words == applied
     for r in rows:
         assert r.useful_words + r.useless_words == pytest.approx(r.words_received)
@@ -122,7 +124,10 @@ def small_4k(request, traced_small_4k):
 def test_phase_table_has_one_row_per_epoch(small_4k):
     _, trace = small_4k
     departs = max(
-        sum(1 for ev in trace.by_kind("barrier_depart") if ev.proc == p)
+        sum(
+            1 for ev in trace.events
+            if ev.kind == "barrier_depart" and ev.proc == p
+        )
         for p in range(trace.config.nprocs)
     )
     rows = phase_rows(trace)
@@ -136,7 +141,7 @@ def test_phase_counts_sum_to_trace_totals(small_4k):
     rows = phase_rows(trace)
     for column, kind in PHASE_COUNTS:
         assert sum(getattr(r, column) for r in rows) == len(
-            trace.by_kind(kind)
+            [ev for ev in trace.events if ev.kind == kind]
         ), column
 
 

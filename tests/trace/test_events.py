@@ -42,7 +42,7 @@ EXPECTED_KINDS = {
 
 def test_every_subclass_sets_its_kind():
     for cls, kind in EXPECTED_KINDS.items():
-        ev = cls(0, 0.0, 0)
+        ev = cls(0.0, 0)
         assert ev.kind == kind
 
 
@@ -52,9 +52,10 @@ def test_kinds_are_unique():
 
 def test_event_to_dict_flattens_tuples_and_serializes():
     ev = FaultEvent(
-        3, 12.5, 1, fault_id=7, units=(4, 5), writers=2,
+        12.5, 1, fault_id=7, units=(4, 5), writers=2,
         exchange_ids=(9,), stall_us=100.0, cost_us=120.0,
     )
+    ev.eid = 3
     d = event_to_dict(ev)
     assert d["eid"] == 3 and d["proc"] == 1 and d["kind"] == "fault"
     assert d["units"] == [4, 5] and d["exchange_ids"] == [9]
@@ -63,6 +64,6 @@ def test_event_to_dict_flattens_tuples_and_serializes():
 
 
 def test_access_event_payload():
-    ev = AccessEvent(0, 1.0, 2, op="write", word0=128, nwords=16)
+    ev = AccessEvent(1.0, 2, op="write", word0=128, nwords=16)
     d = event_to_dict(ev)
     assert d["op"] == "write" and d["word0"] == 128 and d["nwords"] == 16

@@ -1,4 +1,4 @@
-"""Recorder semantics: eid assignment, hook coverage over a real run."""
+"""Recorder semantics: eid assignment, event coverage over a real run."""
 
 import numpy as np
 
@@ -54,9 +54,9 @@ def test_expected_kinds_present():
         assert expected in kinds, expected
 
 
-def test_by_kind_filters_in_order():
+def test_fault_events_in_emission_order():
     res = _run_tiny()
-    faults = res.trace.by_kind("fault")
+    faults = [ev for ev in res.trace.events if ev.kind == "fault"]
     assert faults and all(ev.kind == "fault" for ev in faults)
     assert [ev.eid for ev in faults] == sorted(ev.eid for ev in faults)
 
@@ -71,7 +71,7 @@ def test_per_proc_event_order_is_program_order():
 
 def test_barrier_instances_count_occurrences():
     res = _run_tiny()
-    arrivals = res.trace.by_kind("barrier_arrive")
+    arrivals = [ev for ev in res.trace.events if ev.kind == "barrier_arrive"]
     instances = sorted({ev.instance for ev in arrivals})
     assert instances == [0, 1]  # two barrier-0 episodes
     for inst in instances:
@@ -89,7 +89,9 @@ def test_lock_acquires_emitted_in_grant_order():
 
 def test_fault_records_cross_reference_trace():
     res = _run_tiny()
-    fault_events = {ev.fault_id: ev for ev in res.trace.by_kind("fault")}
+    fault_events = {
+        ev.fault_id: ev for ev in res.trace.events if ev.kind == "fault"
+    }
     assert res.stats.fault_records
     for rec in res.stats.fault_records:
         assert rec.trace_eid is not None
@@ -102,13 +104,13 @@ def test_fault_records_cross_reference_trace():
 def test_group_events_only_in_dynamic_mode():
     static = _run_tiny(dynamic=False)
     dyn = _run_tiny(dynamic=True)
-    assert not static.trace.by_kind("group_build")
-    assert dyn.trace.by_kind("group_build")
+    assert not any(ev.kind == "group_build" for ev in static.trace.events)
+    assert any(ev.kind == "group_build" for ev in dyn.trace.events)
 
 
 def test_recorder_carries_run_context():
     rec = TraceRecorder(_SimConfig(nprocs=2, trace=True))
-    assert len(rec) == 0
+    assert len(rec.events) == 0
     res = _run_tiny()
     assert res.trace.layout is not None
     assert res.trace.network is not None
@@ -116,7 +118,7 @@ def test_recorder_carries_run_context():
 
 def test_message_events_match_network_ledger():
     res = _run_tiny()
-    msgs = res.trace.by_kind("message")
+    msgs = [ev for ev in res.trace.events if ev.kind == "message"]
     assert len(msgs) == len(res.trace.network.messages)
     for ev, rec in zip(msgs, res.trace.network.messages, strict=True):
         assert ev.msg_id == rec.msg_id
